@@ -16,18 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolve import _golden_section
-from .pauli import PauliHamiltonian, PauliString, ResourceLimitError
+from .pauli import PauliHamiltonian, PauliString, ResourceLimitError, _popcounts
 
 ADAPT_QUBIT_LIMIT = 10
-
-# phi = 2 theta grid for the per-layer trig objective; values at phi = 0
-# come first so flat directions resolve to angle zero.
-_PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
-_COS1 = np.cos(_PHI_GRID)
-_SIN1 = np.sin(_PHI_GRID)
-_COS2 = np.cos(2.0 * _PHI_GRID)
-_SIN2 = np.sin(2.0 * _PHI_GRID)
 
 
 class AdaptError(RuntimeError):
@@ -107,8 +98,7 @@ class PoolOperator:
     def rotated(self, state: np.ndarray, theta: float) -> np.ndarray:
         """exp(i theta T) applied along the first axis of state.
 
-        Works on vectors and on matrices (each column rotates), which is
-        what the re-optimization sweep uses to conjugate the Hamiltonian.
+        Works on vectors and on matrices (each column rotates).
         """
         sel, par = self._indices
         c = math.cos(2.0 * theta)
@@ -123,11 +113,6 @@ class PoolOperator:
             out[sel] = c * a - s * b
             out[par] = c * b + s * a
         return out
-
-    def conjugated(self, mat: np.ndarray, theta: float) -> np.ndarray:
-        """K(theta)^T mat K(theta) for symmetric mat, K = exp(i theta T)."""
-        half = self.rotated(mat, -theta)
-        return self.rotated(half.T, -theta)
 
     def conjugate_inplace(self, mat: np.ndarray, theta: float) -> None:
         """K(theta)^T mat K(theta), overwriting mat (must be symmetric).
@@ -183,11 +168,14 @@ class AdaptConfig:
     is the X-pair state, "s1" the all-down product state. run_adapt takes
     the reference vector explicitly, so the label is only consumed by
     callers that build the state themselves.
+
+    vqe_tol ends each angle re-optimization: stop when one step lowers the
+    energy by less than vqe_tol.
     """
 
     max_layers: int = 120
     grad_threshold: float = 1e-6
-    vqe_tol: float = 1e-8
+    vqe_tol: float = 1e-12
     reference: str = "s2"
 
     def __post_init__(self):
@@ -247,12 +235,6 @@ def _as_real_state(state: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _parity_signs(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    counts = np.array([bin(v).count("1") for v in idx])
-    return np.where(counts % 2 == 0, 1.0, -1.0)
-
-
 def _exact_target(dense: np.ndarray, n: int, reference: np.ndarray):
     """Ground energy plus the comparison eigenvector for fidelity rows.
 
@@ -263,7 +245,7 @@ def _exact_target(dense: np.ndarray, n: int, reference: np.ndarray):
     """
     evals, evecs = np.linalg.eigh(dense)
     ground_energy = float(evals[0])
-    signs = _parity_signs(n)
+    signs = 1.0 - 2.0 * (_popcounts(n) & 1)
     plus = signs > 0
     minus = ~plus
     conserves = np.max(np.abs(dense[np.ix_(plus, minus)])) < 1e-12
@@ -291,140 +273,79 @@ def _select(dense: np.ndarray, state: np.ndarray, ops) -> tuple[int, float]:
     return best_idx, best_val
 
 
-def _optimize_layer(heff: np.ndarray, chi: np.ndarray, op: PoolOperator):
-    """Exact single-angle minimum for one layer against heff.
+def _energy_and_gradient(dense, reference, chosen, angles) -> tuple[float, np.ndarray]:
+    """Energy and all angle derivatives from one forward and one backward pass.
 
-    K chi = x0 + cos(2t) P + sin(2t) Q with x0 the untouched amplitudes, so
-    three matvecs reduce E(theta) to a two-harmonic trig form in phi = 2t:
-    E = const + 2 e0p cos phi + 2 e0q sin phi + d cos 2phi + f sin 2phi.
-    A vectorized grid scan localizes the minimum and Newton polishes it.
-    Returns (theta, energy).
+    The forward pass keeps the states psi_l after each layer. The backward
+    pass carries lam_l = K_{l+1}^T ... K_L^T H psi_L, which gives
+    dE/dtheta_l = -2 lam_l . R_l psi_l for every layer in O(L 2^n).
     """
-    sel, par = op._indices
-    a = chi[sel]
-    b = chi[par]
-    x0 = np.array(chi, copy=True)
-    x0[sel] = 0.0
-    x0[par] = 0.0
-    p_vec = np.zeros_like(chi)
-    p_vec[sel] = a
-    p_vec[par] = b
-    q_vec = np.zeros_like(chi)
-    if op.sign > 0:
-        q_vec[sel] = b
-        q_vec[par] = -a
-    else:
-        q_vec[sel] = -b
-        q_vec[par] = a
-    h_x0 = heff @ x0
-    h_p = heff @ p_vec
-    h_q = heff @ q_vec
-    e00 = float(x0 @ h_x0)
-    e0p = float(x0 @ h_p)
-    e0q = float(x0 @ h_q)
-    epp = float(p_vec @ h_p)
-    eqq = float(q_vec @ h_q)
-    epq = float(p_vec @ h_q)
-    base = e00 + 0.5 * (epp + eqq)
-    d_coef = 0.5 * (epp - eqq)
-
-    def value(phi: float) -> float:
-        return (
-            base
-            + 2.0 * e0p * math.cos(phi)
-            + 2.0 * e0q * math.sin(phi)
-            + d_coef * math.cos(2.0 * phi)
-            + epq * math.sin(2.0 * phi)
-        )
-
-    grid_vals = base + 2.0 * e0p * _COS1 + 2.0 * e0q * _SIN1 + d_coef * _COS2 + epq * _SIN2
-    best = int(np.argmin(grid_vals))
-    phi = float(_PHI_GRID[best])
-    best_val = float(grid_vals[best])
-    for _ in range(8):
-        grad = (
-            -2.0 * e0p * math.sin(phi)
-            + 2.0 * e0q * math.cos(phi)
-            - 2.0 * d_coef * math.sin(2.0 * phi)
-            + 2.0 * epq * math.cos(2.0 * phi)
-        )
-        curv = (
-            -2.0 * e0p * math.cos(phi)
-            - 2.0 * e0q * math.sin(phi)
-            - 4.0 * d_coef * math.cos(2.0 * phi)
-            - 4.0 * epq * math.sin(2.0 * phi)
-        )
-        if curv <= 1e-14 or abs(grad) < 1e-14:
-            break
-        step = grad / curv
-        if abs(step) > 0.2:
-            break
-        phi -= step
-    candidate = value(phi)
-    if candidate < best_val:
-        best_val = candidate
-    else:
-        phi = float(_PHI_GRID[best])
-    return 0.5 * phi, best_val
+    states = [reference]
+    for op, theta in zip(chosen, angles):
+        states.append(op.rotated(states[-1], theta))
+    lam = dense @ states[-1]
+    energy = float(states[-1] @ lam)
+    grad = np.empty(len(chosen))
+    for level in reversed(range(len(chosen))):
+        op = chosen[level]
+        grad[level] = -2.0 * float(lam @ op.generator_action(states[level + 1]))
+        lam = op.rotated(lam, -angles[level])
+    return energy, grad
 
 
-_MAX_SWEEPS = 40
+# BFGS iterations allowed per angle. Growth at n = 8, vbar = 5 to 110 layers
+# peaks at about 6 per angle and n = 4..6 runs at about 14, so reaching the
+# cap means the optimizer broke down.
+_BFGS_ITERS_PER_ANGLE = 50
 
 
 def _reoptimize(dense, reference, chosen, angles, vqe_tol: float) -> float:
-    """Coordinate sweeps over all angles until the energy stalls.
+    """BFGS over all angles; updates angles in place, returns the energy.
 
-    Each backward sweep keeps prefix states for layers below the active one
-    and conjugates the Hamiltonian through the layers above it, so every
-    single-angle problem is an exact closed form. After each sweep the
-    energy is also probed along the aggregate angle displacement; repeated
-    operators carve curved degenerate valleys where plain coordinate
-    descent slows to a crawl, and the extrapolation rides them out.
-    Descent is monotone, so hitting the sweep cap returns the partial
-    optimum (later growth steps resume it) rather than failing.
+    A dense inverse Hessian with a backtracking Armijo line search; stops
+    when an accepted step lowers the energy by less than vqe_tol, or when
+    no step lowers it at all. Every accepted step lowers the energy, so the
+    result never lies above the starting point. Raises AdaptError at the
+    iteration cap.
     """
-    state = apply_ansatz(reference, chosen, angles)
-    previous = float(state @ dense @ state)
-    for _ in range(_MAX_SWEEPS):
-        before = np.array(angles)
-        prefixes = [reference]
-        for op, theta in zip(chosen[:-1], angles[:-1]):
-            prefixes.append(op.rotated(prefixes[-1], theta))
-        heff = dense.copy()
-        current = previous
-        for level in reversed(range(len(chosen))):
-            op = chosen[level]
-            theta, current = _optimize_layer(heff, prefixes[level], op)
-            angles[level] = theta
-            if level > 0:
-                op.conjugate_inplace(heff, theta)
-        delta = np.array(angles) - before
-        if np.linalg.norm(delta) > 1e-14:
-
-            def along(scale: float) -> float:
-                trial = apply_ansatz(reference, chosen, before + scale * delta)
-                return float(trial @ dense @ trial)
-
-            best_scale, best_val = 1.0, current
-            for scale in (2.0, 4.0, 8.0, 16.0, 32.0):
-                trial_val = along(scale)
-                if trial_val < best_val:
-                    best_scale, best_val = scale, trial_val
-            if best_scale > 1.0:
-                refined, refined_val = _golden_section(
-                    along, best_scale / 2.0, min(2.0 * best_scale, 48.0), tol=0.05
-                )
-                if refined_val < best_val:
-                    best_scale, best_val = refined, refined_val
-                moved = before + best_scale * delta
-                angles[:] = [float(v) for v in moved]
-                current = best_val
-        if not math.isfinite(current):
-            raise AdaptError("angle re-optimization produced a non-finite energy")
-        if previous - current < vqe_tol:
-            return current
-        previous = current
-    return previous
+    x = np.array(angles, dtype=float)
+    energy, grad = _energy_and_gradient(dense, reference, chosen, x)
+    if not math.isfinite(energy):
+        raise AdaptError("angle re-optimization produced a non-finite energy")
+    inv_hess = np.eye(len(x))
+    cap = _BFGS_ITERS_PER_ANGLE * len(x)
+    for iteration in range(cap):
+        direction = -inv_hess @ grad
+        slope = float(grad @ direction)
+        if not slope < 0.0:
+            break  # zero gradient: already stationary
+        step = 1.0
+        while step >= 1e-10:
+            trial = x + step * direction
+            trial_energy, trial_grad = _energy_and_gradient(dense, reference, chosen, trial)
+            if trial_energy <= energy + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # no step lowers the energy: rounding floor reached
+        s_vec = trial - x
+        y_vec = trial_grad - grad
+        drop = energy - trial_energy
+        x, energy, grad = trial, trial_energy, trial_grad
+        if drop < vqe_tol:
+            break
+        sy = float(s_vec @ y_vec)
+        if sy > 1e-16:
+            if iteration == 0:
+                inv_hess *= sy / float(y_vec @ y_vec)
+            h_y = inv_hess @ y_vec
+            inv_hess += (sy + float(y_vec @ h_y)) / sy**2 * np.outer(s_vec, s_vec)
+            inv_hess -= (np.outer(h_y, s_vec) + np.outer(s_vec, h_y)) / sy
+    else:
+        angles[:] = x.tolist()
+        raise AdaptError(f"angle re-optimization hit its cap of {cap} BFGS iterations")
+    angles[:] = x.tolist()
+    return energy
 
 
 def run_adapt(

@@ -35,6 +35,7 @@ from .lmg import (
     preparation_circuit,
     prepare_stab_state,
     select_split,
+    split_around,
 )
 from .metrics import SRE_QUBIT_LIMIT, n_tangle_dicke, one_spin_entropy_dicke, sre
 from .pauli import PauliHamiltonian
@@ -329,19 +330,7 @@ def _family_split(h: PauliHamiltonian, params: LmgParams, family: str) -> Hamilt
     matching = [c for c in candidate_groups(h, params) if c.family == family]
     if not matching:
         raise UsageError(f"no candidate groups in family {family!r}")
-    chosen = min(range(len(matching)), key=lambda i: (matching[i].energy, i))
-    best = matching[chosen]
-    stab_terms, magic_terms = [], []
-    for coeff, s in h.terms:
-        (stab_terms if best.group.expectation(s) != 0 else magic_terms).append((coeff, s))
-    return HamiltonianSplit(
-        params=params,
-        family=family,
-        group=best.group,
-        stab_energy=best.energy,
-        stab_part=PauliHamiltonian.from_terms(params.n, stab_terms),
-        magic_part=PauliHamiltonian.from_terms(params.n, magic_terms),
-    )
+    return split_around(h, params, min(matching, key=lambda c: c.energy))
 
 
 def _circuit_text(gates) -> str:
@@ -584,7 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument("--reference", choices=("s1", "s2"))
     adapt.add_argument("--max-layers", type=int, dest="max_layers")
     adapt.add_argument("--grad-threshold", type=float, dest="grad_threshold")
-    adapt.add_argument("--vqe-tol", type=float, dest="vqe_tol")
+    adapt.add_argument(
+        "--vqe-tol",
+        type=float,
+        dest="vqe_tol",
+        help="stop re-optimizing when one step lowers the energy by less than this (default 1e-12)",
+    )
     adapt.add_argument("--json", help="also write rows as JSON to this path")
     common(adapt)
     adapt.set_defaults(run=run_adapt_cmd)

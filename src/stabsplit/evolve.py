@@ -26,7 +26,7 @@ from .exact import (
     stab_state_dicke_amplitudes,
 )
 from .lmg import LmgParams
-from .pauli import PauliHamiltonian, ResourceLimitError
+from .pauli import PauliHamiltonian, ResourceLimitError, _popcounts
 
 QITP_QUBIT_LIMIT = 10
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -352,11 +352,7 @@ def parity_project(state, sector: int | None = None):
         return DickeVector(n, state.ks, projected / norm)
     n = int(np.log2(len(state)))
     sector = (-1) ** n if sector is None else sector
-    idx = np.arange(1 << n)
-    down = np.zeros(1 << n, dtype=np.int64)
-    for p in range(n):
-        down += (idx >> p) & 1
-    projected = np.where((-1.0) ** down == sector, state, 0.0)
+    projected = np.where((-1.0) ** _popcounts(n) == sector, state, 0.0)
     norm = np.linalg.norm(projected)
     if norm < 1e-14:
         raise ValueError("state has no weight in the requested parity sector")

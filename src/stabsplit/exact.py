@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .lmg import LmgParams, build_lmg
-from .pauli import ResourceLimitError, canonical_phase
+from .pauli import ResourceLimitError, _popcounts, canonical_phase
 
 DENSE_GROUND_LIMIT = 12
 STATEVECTOR_LIMIT = 14
@@ -127,7 +127,7 @@ def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
     degenerate = np.nonzero(evals - evals[0] < 1e-8)[0]
     if len(degenerate) > 1:
         # Diagonalize parity inside the quasi-degenerate block.
-        par = _parity_diagonal(n)
+        par = 1.0 - 2.0 * (_popcounts(n) & 1)
         block = evecs[:, degenerate]
         pmat = block.T @ (par[:, None] * block)
         pvals, pvecs = np.linalg.eigh(pmat)
@@ -139,14 +139,6 @@ def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
     return energy, canonical_phase(vec.astype(complex))
 
 
-def _parity_diagonal(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    bits = np.zeros(1 << n, dtype=np.int64)
-    for p in range(n):
-        bits ^= (idx >> p) & 1
-    return 1.0 - 2.0 * bits
-
-
 def dicke_to_statevector(state: DickeVector) -> np.ndarray:
     """Expand collective amplitudes over the 2^n computational basis.
 
@@ -156,11 +148,7 @@ def dicke_to_statevector(state: DickeVector) -> np.ndarray:
     n = state.n
     if n > STATEVECTOR_LIMIT:
         raise ResourceLimitError(f"statevector expansion guarded at n <= {STATEVECTOR_LIMIT}")
-    idx = np.arange(1 << n)
-    ones = np.zeros(1 << n, dtype=np.int64)
-    for p in range(n):
-        ones += (idx >> p) & 1
-    k_of_b = n - ones
+    k_of_b = n - _popcounts(n)
     out = np.zeros(1 << n, dtype=complex)
     for k, amp in zip(state.ks, state.amps):
         mask = k_of_b == k

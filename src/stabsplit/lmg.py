@@ -213,6 +213,15 @@ def select_split(h: PauliHamiltonian, params: LmgParams) -> HamiltonianSplit:
             raise AssertionError(
                 "symmetry-breaking pair group beat every symmetric candidate"
             )
+    return split_around(h, params, chosen)
+
+
+def split_around(h: PauliHamiltonian, params: LmgParams, chosen: LmgCandidate) -> HamiltonianSplit:
+    """Split H around one candidate group.
+
+    Terms with a nonzero expectation in the group's state form the
+    stabilizer part; the rest form the magic part.
+    """
     stab_terms, magic_terms = [], []
     for coeff, s in h.terms:
         (stab_terms if chosen.group.expectation(s) != 0 else magic_terms).append((coeff, s))

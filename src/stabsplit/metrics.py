@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import DickeVector
-from .pauli import PauliString, ResourceLimitError, num_qubits
+from .pauli import PauliString, ResourceLimitError, _popcounts, num_qubits
 
 SRE_QUBIT_LIMIT = 10
 _RANGE_TOL = 1e-9
@@ -98,11 +98,7 @@ def one_spin_entropy(state: np.ndarray) -> float:
         )
         if gap > 1e-8:
             raise ValueError("state is not permutation-symmetric")
-    idx = np.arange(1 << n)
-    down = np.zeros(1 << n, dtype=np.int64)
-    for p in range(n):
-        down += (idx >> p) & 1
-    jz = float(np.sum(np.abs(state) ** 2 * (n / 2.0 - down)))
+    jz = float(np.sum(np.abs(state) ** 2 * (n / 2.0 - _popcounts(n))))
     return _binary_entropy(0.5 + jz / n)
 
 

@@ -45,7 +45,7 @@ class ResourceLimitError(ValueError):
 
 
 def _popcount(value: int) -> int:
-    return bin(value).count("1")
+    return value.bit_count()
 
 
 @lru_cache(maxsize=32)
@@ -53,6 +53,17 @@ def _indices(n: int) -> np.ndarray:
     idx = np.arange(1 << n, dtype=np.int64)
     idx.setflags(write=False)
     return idx
+
+
+@lru_cache(maxsize=32)
+def _popcounts(n: int) -> np.ndarray:
+    """Number of one bits of every basis index 0 .. 2^n - 1."""
+    counts = np.zeros(1 << n, dtype=np.int64)
+    idx = _indices(n)
+    for p in range(n):
+        counts += (idx >> p) & 1
+    counts.setflags(write=False)
+    return counts
 
 
 def _sign_vector(mask: int, n: int) -> np.ndarray:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import stabsplit.adapt as adapt_module
 from stabsplit.adapt import (
     ADAPT_QUBIT_LIMIT,
     AdaptConfig,
     AdaptError,
     AdaptTrace,
     PoolOperator,
+    _energy_and_gradient,
     apply_ansatz,
     gradient,
     pool,
@@ -107,7 +109,6 @@ class TestKernel:
         op = PoolOperator(4, 1, 3, -1)
         kernel = op.rotated(np.eye(16), 0.81)
         expected = kernel.T @ mat @ kernel
-        assert np.allclose(op.conjugated(mat, 0.81), expected, atol=1e-12)
         inplace = mat.copy()
         op.conjugate_inplace(inplace, 0.81)
         assert np.allclose(inplace, expected, atol=1e-12)
@@ -129,6 +130,31 @@ class TestGradient:
                 minus = op.rotated(vec, -delta)
                 fd = (plus @ dense @ plus - minus @ dense @ minus) / (2 * delta)
                 assert gradient(vec, op, h) == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("n, layers", [(4, 3), (5, 5), (6, 8)])
+    def test_adjoint_matches_finite_differences(self, n, layers):
+        # Every component of the adjoint gradient against central differences
+        # of the apply_ansatz energy; the last layer repeats the first operator.
+        rng = np.random.default_rng(100 + n)
+        dense = build_lmg(LmgParams(n, 2.5)).dense_real()
+        reference = pair_state(n).real
+        ops = pool(n)
+        chosen = [ops[int(k)] for k in rng.choice(len(ops), size=layers - 1, replace=False)]
+        chosen.append(chosen[0])
+        angles = rng.uniform(-np.pi, np.pi, size=layers)
+
+        def energy(thetas):
+            state = apply_ansatz(reference, chosen, thetas)
+            return float(state @ dense @ state)
+
+        value, grad = _energy_and_gradient(dense, reference, chosen, angles)
+        assert value == pytest.approx(energy(angles), abs=1e-12)
+        delta = 1e-5
+        for k in range(layers):
+            step = np.zeros(layers)
+            step[k] = delta
+            fd = (energy(angles + step) - energy(angles - step)) / (2 * delta)
+            assert grad[k] == pytest.approx(fd, abs=1e-7)
 
     def test_complex_state(self):
         rng = np.random.default_rng(29)
@@ -287,6 +313,18 @@ class TestRunAdapt:
             AdaptConfig(vqe_tol=-1e-8)
         with pytest.raises(ValueError):
             AdaptConfig(reference="s3")
+
+    def test_iteration_cap_raises_with_partial_trace(self, monkeypatch):
+        monkeypatch.setattr(adapt_module, "_BFGS_ITERS_PER_ANGLE", 1)
+        h = build_lmg(LmgParams(8, 5.0))
+        with pytest.raises(AdaptError, match="cap") as info:
+            run_adapt(h, all_down(8), AdaptConfig(max_layers=20))
+        trace = info.value.trace
+        assert trace is not None
+        assert trace.layers[0].energy == pytest.approx(-4.0, abs=1e-12)
+        assert [record.layer for record in trace.layers] == list(range(len(trace.layers)))
+        assert trace.state is not None
+        assert np.linalg.norm(trace.state) == pytest.approx(1.0, abs=1e-10)
 
     def test_error_carries_trace(self):
         err = AdaptError("stalled", AdaptTrace(exact_energy=-1.0))

@@ -1,6 +1,9 @@
 """CLI tests: flag handling, CSV schemas, golden determinism, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +348,15 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; the command must start without it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import stabsplit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+        )
+        assert result.stdout.strip() == "[]"
