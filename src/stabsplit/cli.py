@@ -34,6 +34,7 @@ from .lmg import (
     candidate_groups,
     preparation_circuit,
     prepare_stab_state,
+    select_candidate,
     select_split,
     split_around,
 )
@@ -201,7 +202,7 @@ def _sweep_cells(n: int, chi: float, vbar: float, observables: frozenset) -> dic
         cells["E_exact"] = _fmt(exact_energy)
         cells["E_s1"] = _fmt(best_family_energy(candidates, "s1"))
         cells["E_s2"] = _fmt(best_family_energy(candidates, "s2"))
-        cells["E_stab_sel"] = _fmt(select_split(h, params).stab_energy)
+        cells["E_stab_sel"] = _fmt(select_candidate(h, params, candidates).energy)
     if observables & {"fidelities", "entropy", "tangles"}:
         s2_state = stab_state_dicke_amplitudes(n, "s2")
     if "fidelities" in observables:

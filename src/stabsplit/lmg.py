@@ -189,17 +189,21 @@ def symmetry_breaking_energy(h: PauliHamiltonian, params: LmgParams) -> float:
 _FAMILY_ORDER = {"s1": 0, "s2": 1, "s3": 2}
 
 
-def select_split(h: PauliHamiltonian, params: LmgParams) -> HamiltonianSplit:
-    """Pick the lowest-energy candidate group and split H around it.
+def select_candidate(
+    h: PauliHamiltonian, params: LmgParams, candidates: list[LmgCandidate]
+) -> LmgCandidate:
+    """The lowest-energy candidate among ``candidates`` (from ``candidate_groups``).
 
     Candidates within 1e-12 relative energy count as tied and resolve toward
     the earlier family (product family first, then the X-pair family).  The
     tolerance keeps the selection transition exact: at the degenerate
     coupling the pair energy sums n(n-1)/2 copies of vbar/(2(n-1)), whose
     rounding (well under 1e-13 relative) must not pick the winner, while a
-    genuine coupling offset of 1e-9 still flips the selection.
+    genuine coupling offset of 1e-9 still flips the selection.  The sums run
+    left to right in term order (see ``StabilizerGroup.energy``), so ties
+    resolve the same way on every Python version.  For n >= 3 the
+    symmetry-breaking pair group must not beat the choice.
     """
-    candidates = candidate_groups(h, params)
     floor = min(c.energy for c in candidates)
     tol = 1e-12 * max(1.0, abs(floor))
     best = min(
@@ -213,25 +217,31 @@ def select_split(h: PauliHamiltonian, params: LmgParams) -> HamiltonianSplit:
             raise AssertionError(
                 "symmetry-breaking pair group beat every symmetric candidate"
             )
-    return split_around(h, params, chosen)
+    return chosen
+
+
+def select_split(h: PauliHamiltonian, params: LmgParams) -> HamiltonianSplit:
+    """Pick the lowest-energy candidate group (``select_candidate``) and split
+    H around it."""
+    return split_around(h, params, select_candidate(h, params, candidate_groups(h, params)))
 
 
 def split_around(h: PauliHamiltonian, params: LmgParams, chosen: LmgCandidate) -> HamiltonianSplit:
     """Split H around one candidate group.
 
     Terms with a nonzero expectation in the group's state form the
-    stabilizer part; the rest form the magic part.
+    stabilizer part; the rest form the magic part.  Both keep H's term order.
     """
-    stab_terms, magic_terms = [], []
-    for coeff, s in h.terms:
-        (stab_terms if chosen.group.expectation(s) != 0 else magic_terms).append((coeff, s))
+    nonzero = chosen.group.expectations(h) != 0
+    stab_terms = tuple(t for t, keep in zip(h.terms, nonzero) if keep)
+    magic_terms = tuple(t for t, keep in zip(h.terms, nonzero) if not keep)
     return HamiltonianSplit(
         params=params,
         family=chosen.family,
         group=chosen.group,
         stab_energy=chosen.energy,
-        stab_part=PauliHamiltonian.from_terms(params.n, stab_terms),
-        magic_part=PauliHamiltonian.from_terms(params.n, magic_terms),
+        stab_part=PauliHamiltonian(params.n, stab_terms),
+        magic_part=PauliHamiltonian(params.n, magic_terms),
     )
 
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import stabsplit.cli as cli
+import stabsplit.lmg as lmg
 from stabsplit.cli import ADAPT_COLUMNS, COLUMNS, QITP_COLUMNS, main
+from stabsplit.lmg import LmgParams, build_lmg, select_split
 from stabsplit.tableau import CliffordGate, apply_circuit
 
 
@@ -189,6 +191,34 @@ class TestSweep:
     def test_spin_count_validated(self, capsys):
         code, _, _ = run_cli(capsys, ["sweep", "--n", "1", "--vbar", "1"])
         assert code == 2
+
+
+class TestSweepEnergyPass:
+    def test_one_candidate_pass_per_point(self, monkeypatch):
+        calls = {"candidate_groups": 0, "split_around": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for module in (cli, lmg):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        cli._sweep_cells(20, -1.0, 3.0, frozenset({"energies"}))
+        assert calls == {"candidate_groups": 1, "split_around": 0}
+
+    @pytest.mark.parametrize("chi", [-1.0, 0.0, 1.0])
+    def test_selected_energy_matches_select_split(self, chi):
+        # Both sides of the s1/s2 transition at vbar = 2, and the tie at it.
+        for n in range(3, 13):
+            for vbar in (0.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 6.0):
+                params = LmgParams(n, vbar, chi)
+                cells = cli._sweep_cells(n, chi, vbar, frozenset({"energies"}))
+                want = select_split(build_lmg(params), params).stab_energy
+                assert cells["E_stab_sel"] == cli._fmt(want), (n, vbar)
 
 
 class TestDecompose:

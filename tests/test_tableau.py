@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from stabsplit.lmg import LmgParams, build_lmg, candidate_groups
 from stabsplit.pauli import PauliHamiltonian, PauliString, canonical_phase
 from stabsplit.tableau import (
     CliffordGate,
@@ -52,6 +54,17 @@ class TestValidation:
     def test_rejects_anticommuting(self):
         with pytest.raises(ValueError):
             StabilizerGroup.from_labels(["+X1", "+Z1"], 1)
+
+    def test_names_first_anticommuting_pair(self):
+        # (1, 3) and (2, 3) anticommute; the message names the first in (i, j) order.
+        with pytest.raises(ValueError, match=r"\+X3 and \+X1Z3 anticommute"):
+            StabilizerGroup.from_labels(["+X3", "+Z1", "+X1Z3"], 3)
+
+    def test_anticommuting_pair_across_words(self):
+        # 65 qubits span two 64-bit words; Z1 and X1 sit in the high word.
+        labels = [f"+Z{q}" for q in range(1, 65)] + ["+X1"]
+        with pytest.raises(ValueError, match=r"\+Z1 and \+X1 anticommute"):
+            StabilizerGroup.from_labels(labels, 65)
 
     def test_rejects_dependent(self):
         with pytest.raises(ValueError):
@@ -148,6 +161,99 @@ class TestEnergy:
             h = PauliHamiltonian.from_terms(n, terms)
             dense_val = np.vdot(psi, h.dense() @ psi).real
             assert g.energy(h) == pytest.approx(dense_val, abs=1e-10)
+
+
+def scalar_energy(group, h):
+    """Left-to-right sum of coefficients times scalar expectations."""
+    total = 0.0
+    for coeff, s in h.terms:
+        total += coeff * group.expectation(s)
+    return total
+
+
+def assert_batched_matches_scalar(group, h):
+    got = group.expectations(h)
+    assert got.dtype == np.int8
+    assert list(got) == [group.expectation(s) for _, s in h.terms]
+    assert group.energy(h) == scalar_energy(group, h)
+
+
+@st.composite
+def conjugated_graph_states(draw, max_n=8):
+    """A random graph state's group conjugated by a random Clifford circuit."""
+    n = draw(st.integers(1, max_n))
+    adjacency = np.zeros((n, n), dtype=np.int8)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacency[i, j] = adjacency[j, i] = draw(st.booleans())
+    single = st.builds(
+        lambda name, q: CliffordGate(name, (q,)), st.sampled_from("HSXYZ"), st.integers(1, n)
+    )
+    gate = single
+    if n > 1:
+        pair = st.permutations(range(1, n + 1)).map(lambda p: p[:2])
+        gate = st.one_of(single, st.builds(CliffordGate, st.sampled_from(["CX", "CZ"]), pair))
+    return graph_state_group(adjacency).conjugate_circuit(draw(st.lists(gate, max_size=24)))
+
+
+@st.composite
+def groups_with_hamiltonians(draw):
+    """A group and a Pauli sum mixing random strings with signed group elements."""
+    group = draw(conjugated_graph_states())
+    n = group.n
+    coeff = st.floats(-2.0, 2.0, allow_nan=False)
+    bits = st.integers(0, (1 << n) - 1)
+    terms = [
+        (draw(coeff), PauliString(n, x, z, 0))
+        for x, z in draw(st.lists(st.tuples(bits, bits), max_size=30))
+    ]
+    for subset in draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=12)):
+        element = PauliString.identity(n)
+        for g, used in zip(group.generators, subset):
+            if used:
+                element = element * g
+        terms.append((draw(coeff), element))
+    order = draw(st.permutations(range(len(terms))))
+    return group, PauliHamiltonian.from_terms(n, [terms[i] for i in order])
+
+
+class TestBatchedExpectations:
+    @given(groups_with_hamiltonians())
+    def test_matches_scalar_oracle(self, case):
+        assert_batched_matches_scalar(*case)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    def test_lmg_candidates_at_word_boundaries(self, n):
+        params = LmgParams(n, 3.0, -1.0)
+        h = build_lmg(params)
+        for cand in candidate_groups(h, params):
+            assert_batched_matches_scalar(cand.group, h)
+
+    @pytest.mark.parametrize("n", [64, 65, 100])
+    def test_dense_strings_across_words(self, n):
+        rng = np.random.default_rng(n)
+        group = random_group(rng, n, depth=6 * n)
+        terms = []
+        for _ in range(40):
+            element = PauliString.identity(n)
+            for g in group.generators:
+                if rng.integers(0, 2):
+                    element = element * g
+            terms.append((float(rng.normal()), element))
+            x, z = (int.from_bytes(rng.bytes(17), "little") % (1 << n) for _ in range(2))
+            terms.append((float(rng.normal()), PauliString(n, x, z, 0)))
+        h = PauliHamiltonian.from_terms(n, terms)
+        assert (group.expectations(h) != 0).sum() >= 40
+        assert_batched_matches_scalar(group, h)
+
+    def test_identity_and_empty_hamiltonians(self):
+        g = StabilizerGroup.from_labels(["-Z1", "+X2"], 2)
+        h = PauliHamiltonian.from_terms(2, [(0.5, PauliString.identity(2))])
+        assert list(g.expectations(h)) == [1]
+        assert g.energy(h) == 0.5
+        empty = PauliHamiltonian(2, ())
+        assert g.expectations(empty).shape == (0,)
+        assert g.energy(empty) == 0.0
 
 
 class TestConjugation:
