@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, canonical_phase
+from .pauli import PauliHamiltonian, PauliString, _qubit_rows, canonical_phase
 from .tableau import (
     CliffordGate,
     StabilizerGroup,
@@ -69,21 +69,33 @@ class HamiltonianSplit:
 
 
 def build_lmg(params: LmgParams) -> PauliHamiltonian:
-    """Pauli-sum form of the Hamiltonian; zero-coefficient terms are omitted."""
+    """Pauli-sum form of the Hamiltonian; zero-coefficient terms are omitted.
+
+    Built packed, in the order Z_1 .. Z_N, then X_i X_j followed by Y_i Y_j
+    for each pair i < j in ``np.triu_indices`` order.  The terms are unique
+    by construction.
+    """
     n = params.n
-    terms: list[tuple[float, PauliString]] = [
-        (0.5, PauliString.from_ops(n, {q: "Z"})) for q in range(1, n + 1)
-    ]
     coupling = -params.vbar / (2.0 * (n - 1))
-    if params.vbar > 0:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                terms.append((coupling, PauliString.from_ops(n, {i: "X", j: "X"})))
-                if params.chi != 0.0:
-                    terms.append(
-                        (params.chi * coupling, PauliString.from_ops(n, {i: "Y", j: "Y"}))
-                    )
-    return PauliHamiltonian.from_terms(n, terms)
+    singles = _qubit_rows(n, np.arange(1, n + 1))
+    coeffs, x, z = [np.full(n, 0.5)], [np.zeros_like(singles)], [singles]
+    if params.vbar > 0 and coupling != 0.0:
+        i, j = np.triu_indices(n, 1)
+        pairs = _qubit_rows(n, i + 1) | _qubit_rows(n, j + 1)
+        no_z = np.zeros_like(pairs)
+        yy = params.chi * coupling
+        if yy != 0.0:
+            # Interleave X_i X_j and Y_i Y_j row by row.
+            coeffs.append(np.tile([coupling, yy], len(pairs)))
+            x.append(np.stack([pairs, pairs], axis=1).reshape(-1, pairs.shape[1]))
+            z.append(np.stack([no_z, pairs], axis=1).reshape(-1, pairs.shape[1]))
+        else:
+            coeffs.append(np.full(len(pairs), coupling))
+            x.append(pairs)
+            z.append(no_z)
+    return PauliHamiltonian.from_arrays(
+        n, np.concatenate(coeffs), np.concatenate(x), np.concatenate(z)
+    )
 
 
 # -- family builders ---------------------------------------------------------
@@ -233,15 +245,13 @@ def split_around(h: PauliHamiltonian, params: LmgParams, chosen: LmgCandidate) -
     stabilizer part; the rest form the magic part.  Both keep H's term order.
     """
     nonzero = chosen.group.expectations(h) != 0
-    stab_terms = tuple(t for t, keep in zip(h.terms, nonzero) if keep)
-    magic_terms = tuple(t for t, keep in zip(h.terms, nonzero) if not keep)
     return HamiltonianSplit(
         params=params,
         family=chosen.family,
         group=chosen.group,
         stab_energy=chosen.energy,
-        stab_part=PauliHamiltonian(params.n, stab_terms),
-        magic_part=PauliHamiltonian(params.n, magic_terms),
+        stab_part=h.subset(nonzero),
+        magic_part=h.subset(~nonzero),
     )
 
 

@@ -13,13 +13,15 @@ Conventions used throughout the package:
   integer arithmetic: the phase is always exactly one of {1, i, -1, -i}.
 * Bit rows are Python ints, so there is no fixed word-size qubit limit; the
   practical caps live on dense-vector operations (``dense`` guards n <= 14).
+  A ``PauliHamiltonian`` stores its terms packed, as rows of uint64 words
+  holding the same bits, least significant word first.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,22 +60,41 @@ def _indices(n: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _popcounts(n: int) -> np.ndarray:
     """Number of one bits of every basis index 0 .. 2^n - 1."""
-    counts = np.zeros(1 << n, dtype=np.int64)
-    idx = _indices(n)
-    for p in range(n):
-        counts += (idx >> p) & 1
+    counts = np.bitwise_count(_indices(n)).astype(np.int64)
     counts.setflags(write=False)
     return counts
 
 
 def _sign_vector(mask: int, n: int) -> np.ndarray:
     """(-1)**popcount(b & mask) for every basis index b, as a float array."""
-    par = np.zeros(1 << n, dtype=np.int64)
-    idx = _indices(n)
-    for p in range(n):
-        if (mask >> p) & 1:
-            par ^= (idx >> p) & 1
-    return 1.0 - 2.0 * par
+    return 1.0 - 2.0 * (np.bitwise_count(_indices(n) & mask) & 1).astype(np.int64)
+
+
+def _words(bits: int) -> int:
+    """uint64 words per packed row of ``bits`` bits."""
+    return (bits + 63) // 64
+
+
+def _pack(values, words: int) -> np.ndarray:
+    """Python-int bit rows as a (len(values), words) array of uint64 words,
+    least significant word first."""
+    data = b"".join(v.to_bytes(8 * words, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
+
+
+def _unpack(rows: np.ndarray) -> list[int]:
+    """Inverse of ``_pack``: one Python int per packed row."""
+    step = 8 * rows.shape[1]
+    data = np.ascontiguousarray(rows, dtype="<u8").tobytes()
+    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+
+
+def _qubit_rows(n: int, qubits: np.ndarray) -> np.ndarray:
+    """Packed rows with the single bit of each 1-based qubit in ``qubits`` set."""
+    pos = n - np.asarray(qubits, dtype=np.int64)
+    rows = np.zeros((len(pos), _words(n)), dtype=np.uint64)
+    rows[np.arange(len(pos)), pos // 64] = np.uint64(1) << (pos % 64).astype(np.uint64)
+    return rows
 
 
 def canonical_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -235,16 +256,57 @@ class PauliString:
         return factor * signed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PauliHamiltonian:
     """A real linear combination of Hermitian, phase +1 Pauli strings.
 
-    ``terms`` holds (coefficient, string) pairs with unique unsigned strings;
-    signs are folded into the coefficients at construction.
+    Stored packed: ``coeffs`` holds one float64 coefficient per term, and the
+    read-only uint64 arrays ``x`` and ``z`` hold one row of ``_words(n)``
+    words per term, least significant word first, with the bit layout of
+    ``PauliString.x_bits`` / ``z_bits``.  The unsigned strings are unique.
+    ``terms`` is the same data as (coefficient, string) pairs, decoded on
+    first access.  Instances compare by identity.
     """
 
     n: int
-    terms: tuple[tuple[float, PauliString], ...]
+    coeffs: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+
+    def __init__(self, n: int, terms=()):
+        """Pack (coefficient, string) pairs of unique phase +1 strings in the
+        given order.  ``from_terms`` also folds signs and merges repeats."""
+        terms = tuple(terms)
+        for _, string in terms:
+            if string.n != n:
+                raise ValueError("string qubit count differs from Hamiltonian")
+            if string.phase_exp:
+                raise ValueError(f"term {string.render()} is not phase +1")
+        words = _words(n)
+        self._store(
+            n,
+            [c for c, _ in terms],
+            _pack([s.x_bits for _, s in terms], words),
+            _pack([s.z_bits for _, s in terms], words),
+        )
+
+    @classmethod
+    def from_arrays(cls, n: int, coeffs, x, z) -> "PauliHamiltonian":
+        """Wrap packed terms: ``coeffs`` and (terms, ``_words(n)``) uint64 rows
+        ``x``, ``z`` of unique unsigned strings.  The arrays are made read-only."""
+        h = cls.__new__(cls)
+        h._store(n, coeffs, x, z)
+        return h
+
+    def _store(self, n: int, coeffs, x, z) -> None:
+        coeffs = np.asarray(coeffs, dtype=np.float64).reshape(-1)
+        shape = (len(coeffs), _words(n))
+        x = np.asarray(x, dtype=np.uint64).reshape(shape)
+        z = np.asarray(z, dtype=np.uint64).reshape(shape)
+        for array in (coeffs, x, z):
+            array.setflags(write=False)
+        for name, value in (("n", n), ("coeffs", coeffs), ("x", x), ("z", z)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "PauliHamiltonian":
@@ -259,13 +321,29 @@ class PauliHamiltonian:
             c = float(np.real(coeff)) * (1.0 if string.phase_exp == 0 else -1.0)
             key = (string.x_bits, string.z_bits)
             merged[key] = merged.get(key, 0.0) + c
-        kept = tuple(
-            (c, PauliString(n, x, z, 0)) for (x, z), c in merged.items() if c != 0.0
+        kept = [(key, c) for key, c in merged.items() if c != 0.0]
+        words = _words(n)
+        return cls.from_arrays(
+            n,
+            [c for _, c in kept],
+            _pack([x for (x, _), _ in kept], words),
+            _pack([z for (_, z), _ in kept], words),
         )
-        return cls(n, kept)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[float, PauliString], ...]:
+        """(coefficient, string) pairs in storage order."""
+        return tuple(
+            (c, PauliString(self.n, x, z, 0))
+            for c, x, z in zip(self.coeffs.tolist(), _unpack(self.x), _unpack(self.z))
+        )
+
+    def subset(self, keep: np.ndarray) -> "PauliHamiltonian":
+        """The terms where the boolean mask ``keep`` is true, in order."""
+        return PauliHamiltonian.from_arrays(self.n, self.coeffs[keep], self.x[keep], self.z[keep])
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
     def dense(self) -> np.ndarray:
         if self.n > DENSE_QUBIT_LIMIT:

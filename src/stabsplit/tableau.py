@@ -23,6 +23,8 @@ from .pauli import (
     ResourceLimitError,
     canonical_phase,
     _indices,
+    _pack,
+    _words,
 )
 
 STATEVECTOR_QUBIT_LIMIT = 14
@@ -136,22 +138,11 @@ def apply_local_label(vec: np.ndarray, n: int, qubit: int, label: str) -> np.nda
     return _apply_single_qubit(vec, n, qubit, mat)
 
 
-# Terms are packed and evaluated this many at a time, which bounds the
+# Terms are evaluated this many at a time, which bounds the
 # temporaries of ``StabilizerGroup.expectations`` at any Hamiltonian size.
 _TERM_BLOCK = 4096
 # Rows per block of the pairwise overlap products in ``_odd_overlaps``.
 _ROW_BLOCK = 64
-
-
-def _words(bits: int) -> int:
-    return (bits + 63) // 64
-
-
-def _pack(values, words: int) -> np.ndarray:
-    """Python-int bit rows as a (len(values), words) array of uint64 words,
-    least significant word first."""
-    data = b"".join(v.to_bytes(8 * words, "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
 
 def _bit_positions(value: int):
@@ -241,15 +232,17 @@ class StabilizerGroup:
         """Fully reduced (Gauss-Jordan) symplectic basis: pivot bit -> (vector,
         group element).
 
-        Vectors pack (x_bits << n) | z_bits.  Each vector has a one at its own
-        pivot and zeros at every other pivot, so a vector in the span is the
-        XOR of the rows at its set pivot bits.  Each stored element is the
-        exact signed product of original generators whose vectors XOR to
-        ``vector``.
+        Vectors pack (x_bits << 64 w) | z_bits with w = ``_words(n)``, so as
+        uint64 words they are the z row followed by the x row (see
+        ``expectations``).  Each vector has a one at its own pivot and zeros at
+        every other pivot, so a vector in the span is the XOR of the rows at its
+        set pivot bits.  Each stored element is the exact signed product of
+        original generators whose vectors XOR to ``vector``.
         """
         basis: dict[int, tuple[int, PauliString]] = {}
+        shift = 64 * _words(self.n)
         for g in self.generators:
-            vec, prod = (g.x_bits << self.n) | g.z_bits, g
+            vec, prod = (g.x_bits << shift) | g.z_bits, g
             for bit in _bit_positions(vec):
                 if bit in basis:
                     bvec, bprod = basis[bit]
@@ -274,7 +267,7 @@ class StabilizerGroup:
             raise ValueError("qubit count mismatch")
         if not p.is_hermitian:
             raise ValueError("expectation needs a Hermitian string")
-        vec = (p.x_bits << self.n) | p.z_bits
+        vec = (p.x_bits << 64 * _words(self.n)) | p.z_bits
         acc, prod = 0, PauliString.identity(self.n)
         for bit in _bit_positions(vec):
             if bit in self._basis:
@@ -294,19 +287,19 @@ class StabilizerGroup:
         written i^e_k X^x_k Z^z_k, is i^(sum e_k + 2 sum_{a<b} |z_a & x_b|)
         X^x Z^z, and the term is i^|x & z| X^x Z^z, so the sign is read from
         that exponent minus |x & z|, mod 4 (Aaronson and Gottesman, PRA 70,
-        052328 (2004)).  Terms are packed into uint64 words one fixed-size
-        block at a time.
+        052328 (2004)).  The terms are read from ``h.x`` and ``h.z`` one
+        fixed-size block at a time.
         """
         if h.n != self.n:
             raise ValueError("qubit count mismatch")
-        n, words = self.n, _words(2 * self.n)
+        n, half = self.n, _words(self.n)
+        words = 2 * half
         vecs, elems = zip(*self._basis.values())
         # Basis row n is padding: a zero row with no phase and no overlaps.
         row_vecs = np.zeros((n + 1, words), dtype=np.uint64)
         row_vecs[:n] = _pack(vecs, words)
         row_phase = np.zeros(n + 1, dtype=np.int64)
         row_phase[:n] = [g.phase_exp + (g.x_bits & g.z_bits).bit_count() for g in elems]
-        half = _words(n)
         zx = np.zeros((n + 1, n + 1), dtype=np.int64)
         zx[:n, :n] = _odd_overlaps(
             _pack([g.z_bits for g in elems], half), _pack([g.x_bits for g in elems], half)
@@ -314,26 +307,26 @@ class StabilizerGroup:
         row_at = np.full(64 * words, -1, dtype=np.intp)
         row_at[list(self._basis)] = np.arange(n)
 
-        out = np.empty(len(h.terms), dtype=np.int8)
-        for start in range(0, len(h.terms), _TERM_BLOCK):
-            block = [s for _, s in h.terms[start : start + _TERM_BLOCK]]
-            term_vecs = _pack([(s.x_bits << n) | s.z_bits for s in block], words)
+        out = np.empty(len(h), dtype=np.int8)
+        for start in range(0, len(h), _TERM_BLOCK):
+            x, z = h.x[start : start + _TERM_BLOCK], h.z[start : start + _TERM_BLOCK]
+            term_vecs = np.concatenate([z, x], axis=1)
             term, bit = _set_bits(term_vecs)
             row = row_at[bit]
             term, row = term[row >= 0], row[row >= 0]
-            counts = np.bincount(term, minlength=len(block))
+            counts = np.bincount(term, minlength=len(x))
             slot = np.arange(len(term)) - (np.cumsum(counts) - counts)[term]
-            chosen = np.full((len(block), counts.max(initial=0)), n)
+            chosen = np.full((len(x), counts.max(initial=0)), n)
             chosen[term, slot] = row
             acc = np.zeros_like(term_vecs)
-            phase = -np.array([(s.x_bits & s.z_bits).bit_count() for s in block])
+            phase = -np.bitwise_count(x & z).sum(axis=1, dtype=np.int64)
             for a in range(chosen.shape[1]):
                 acc ^= row_vecs[chosen[:, a]]
                 phase += row_phase[chosen[:, a]]
                 for b in range(a):
                     phase += 2 * zx[chosen[:, b], chosen[:, a]]
             member = (acc == term_vecs).all(axis=1)
-            out[start : start + len(block)] = np.where(member, 1 - phase % 4, 0)
+            out[start : start + len(x)] = np.where(member, 1 - phase % 4, 0)
         return out
 
     def energy(self, h: PauliHamiltonian) -> float:
@@ -347,7 +340,7 @@ class StabilizerGroup:
         """
         if h.n != self.n:
             raise ValueError("qubit count mismatch")
-        products = np.array([c for c, _ in h.terms]) * self.expectations(h)
+        products = h.coeffs * self.expectations(h)
         return float(np.cumsum(np.concatenate(([0.0], products)))[-1])
 
     # -- Clifford action -----------------------------------------------------
@@ -356,10 +349,15 @@ class StabilizerGroup:
         return StabilizerGroup(self.n, tuple(conjugate_pauli(g, gate) for g in self.generators))
 
     def conjugate_circuit(self, gates) -> "StabilizerGroup":
-        group = self
+        """Conjugate the generators through every gate in order.
+
+        Clifford conjugation keeps the generators commuting and independent,
+        so the group is built and checked once, on the result.
+        """
+        gens = self.generators
         for gate in gates:
-            group = group.conjugate(gate)
-        return group
+            gens = tuple(conjugate_pauli(g, gate) for g in gens)
+        return StabilizerGroup(self.n, gens)
 
     # -- states ----------------------------------------------------------------
 

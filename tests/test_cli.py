@@ -12,6 +12,7 @@ import stabsplit.cli as cli
 import stabsplit.lmg as lmg
 from stabsplit.cli import ADAPT_COLUMNS, COLUMNS, QITP_COLUMNS, main
 from stabsplit.lmg import LmgParams, build_lmg, select_split
+from stabsplit.pauli import PauliHamiltonian
 from stabsplit.tableau import CliffordGate, apply_circuit
 
 
@@ -219,6 +220,34 @@ class TestSweepEnergyPass:
                 cells = cli._sweep_cells(n, chi, vbar, frozenset({"energies"}))
                 want = select_split(build_lmg(params), params).stab_energy
                 assert cells["E_stab_sel"] == cli._fmt(want), (n, vbar)
+
+    def test_packed_build_skips_from_terms(self, monkeypatch):
+        calls = []
+        merge = PauliHamiltonian.from_terms.__func__
+
+        def counting(cls, n, terms):
+            calls.append(n)
+            return merge(cls, n, terms)
+
+        monkeypatch.setattr(PauliHamiltonian, "from_terms", classmethod(counting))
+        cli._sweep_cells(200, -1.0, 10.0, frozenset({"energies"}))
+        assert calls == []
+        PauliHamiltonian.from_terms(2, [])
+        assert calls == [2]
+
+    @pytest.mark.parametrize("chi", [-1.0, 0.0, 0.5])
+    def test_split_parts_match_tuple_filter(self, chi):
+        for n in range(3, 13):
+            params = LmgParams(n, 3.0, chi)
+            h = build_lmg(params)
+            for cand in lmg.candidate_groups(h, params):
+                split = lmg.split_around(h, params, cand)
+                keep = [cand.group.expectation(s) != 0 for _, s in h.terms]
+                stab = tuple(t for t, k in zip(h.terms, keep) if k)
+                magic = tuple(t for t, k in zip(h.terms, keep) if not k)
+                assert split.stab_part.n == split.magic_part.n == n
+                assert split.stab_part.terms == stab, (n, cand.family)
+                assert split.magic_part.terms == magic, (n, cand.family)
 
 
 class TestDecompose:

@@ -16,7 +16,7 @@ from stabsplit.lmg import (
     select_split,
     symmetry_breaking_energy,
 )
-from stabsplit.pauli import PauliString
+from stabsplit.pauli import PauliHamiltonian, PauliString
 from stabsplit.tableau import apply_circuit
 
 
@@ -51,6 +51,50 @@ class TestBuildLmg:
         h = build_lmg(LmgParams(3, 2.0, 0.0))
         labels = {s.render() for _, s in h.terms}
         assert not any("Y" in lbl for lbl in labels)
+
+
+def reference_terms(params):
+    """The term-by-term construction: one from_ops string per term."""
+    n = params.n
+    terms = [(0.5, PauliString.from_ops(n, {q: "Z"})) for q in range(1, n + 1)]
+    coupling = -params.vbar / (2.0 * (n - 1))
+    if params.vbar > 0:
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                terms.append((coupling, PauliString.from_ops(n, {i: "X", j: "X"})))
+                if params.chi != 0.0:
+                    terms.append(
+                        (params.chi * coupling, PauliString.from_ops(n, {i: "Y", j: "Y"}))
+                    )
+    return terms
+
+
+class TestPackedBuild:
+    @pytest.mark.parametrize("n", [*range(2, 13), 31, 32, 33, 63, 64, 65, 128, 129])
+    def test_matches_term_by_term_construction(self, n):
+        for chi in (-1.0, -0.5, 0.0, -0.0, 0.5, 1.0):
+            for vbar in (0.0, 0.3, 10.0):
+                h = build_lmg(LmgParams(n, vbar, chi))
+                terms = reference_terms(LmgParams(n, vbar, chi))
+                ref = PauliHamiltonian.from_terms(n, terms)
+                assert len(h) == len(ref)
+                assert h.n == n and h.x.shape == h.z.shape == (len(ref), (n + 63) // 64)
+                for array in (h.coeffs, h.x, h.z):
+                    assert array.dtype in (np.float64, np.uint64)
+                    assert not array.flags.writeable
+                assert h.coeffs.tolist() == ref.coeffs.tolist()
+                assert np.array_equal(h.x, ref.x) and np.array_equal(h.z, ref.z)
+                # The decoded view: same order, same strings, coefficients ==.
+                assert h.terms == tuple((c, s) for c, s in terms if c != 0.0)
+
+    def test_arrays_reject_writes(self):
+        h = build_lmg(LmgParams(4, 1.0, -1.0))
+        with pytest.raises(ValueError):
+            h.coeffs[0] = 1.0
+        with pytest.raises(ValueError):
+            h.x[0, 0] = 1
+        with pytest.raises(ValueError):
+            h.z[0, 0] = 1
 
 
 class TestCandidateEnergies:

@@ -7,6 +7,8 @@ from stabsplit.pauli import (
     PauliHamiltonian,
     PauliString,
     ResourceLimitError,
+    _popcounts,
+    _sign_vector,
     canonical_phase,
 )
 
@@ -194,6 +196,22 @@ class TestPauliHamiltonian:
         h = PauliHamiltonian.from_terms(1, [(1.0, PauliString.parse("+Y1", 1))])
         with pytest.raises(ValueError):
             h.dense_real()
+
+
+class TestBitCounts:
+    def test_popcounts_and_sign_vectors_match_bit_loops(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 13):
+            idx = np.arange(1 << n)
+            bits = [(idx >> p) & 1 for p in range(n)]
+            assert np.array_equal(_popcounts(n), sum(bits))
+            assert _popcounts(n).dtype == np.int64
+            for mask in (0, (1 << n) - 1, *rng.integers(0, 1 << n, 8).tolist()):
+                parity = np.zeros(1 << n, dtype=np.int64)
+                for p in range(n):
+                    if (mask >> p) & 1:
+                        parity ^= bits[p]
+                assert _sign_vector(mask, n).tobytes() == (1.0 - 2.0 * parity).tobytes()
 
 
 def test_canonical_phase():

@@ -300,6 +300,26 @@ class TestConjugation:
                 rhs = canonical_phase(apply_circuit(g.to_statevector(), n, circuit))
                 assert np.allclose(lhs, rhs, atol=1e-10)
 
+    @pytest.mark.parametrize("n, depth", [(1, 20), (2, 30), (5, 60), (8, 80), (100, 200)])
+    def test_circuit_matches_gate_by_gate(self, n, depth):
+        # conjugate_circuit builds one group at the end; the reference builds
+        # and checks one group per gate.  Generators and signs must agree.
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5 if n <= 8 else 1):
+            start = StabilizerGroup(
+                n,
+                tuple(
+                    PauliString.from_ops(n, {q: "Z"}, phase_exp=2 * int(rng.integers(0, 2)))
+                    for q in range(1, n + 1)
+                ),
+            )
+            circuit = random_clifford_circuit(rng, n, depth)
+            stepwise = start
+            for gate in circuit:
+                stepwise = stepwise.conjugate(gate)
+            assert start.conjugate_circuit(circuit).generators == stepwise.generators
+        assert start.conjugate_circuit([]).generators == start.generators
+
 
 class TestToStatevector:
     def test_all_down(self):
