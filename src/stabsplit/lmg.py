@@ -82,17 +82,13 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
     if params.vbar > 0 and coupling != 0.0:
         i, j = np.triu_indices(n, 1)
         pairs = _qubit_rows(n, i + 1) | _qubit_rows(n, j + 1)
-        no_z = np.zeros_like(pairs)
-        yy = params.chi * coupling
-        if yy != 0.0:
-            # Interleave X_i X_j and Y_i Y_j row by row.
-            coeffs.append(np.tile([coupling, yy], len(pairs)))
-            x.append(np.stack([pairs, pairs], axis=1).reshape(-1, pairs.shape[1]))
-            z.append(np.stack([no_z, pairs], axis=1).reshape(-1, pairs.shape[1]))
-        else:
-            coeffs.append(np.full(len(pairs), coupling))
-            x.append(pairs)
-            z.append(no_z)
+        # Per pair: X_i X_j, then Y_i Y_j unless its coefficient is zero.
+        kinds = [(coupling, pairs, np.zeros_like(pairs))]
+        if params.chi * coupling != 0.0:
+            kinds.append((params.chi * coupling, pairs, pairs))
+        coeffs.append(np.tile([c for c, _, _ in kinds], len(pairs)))
+        x.append(np.stack([kx for _, kx, _ in kinds], axis=1).reshape(-1, singles.shape[1]))
+        z.append(np.stack([kz for _, _, kz in kinds], axis=1).reshape(-1, singles.shape[1]))
     return PauliHamiltonian.from_arrays(
         n, np.concatenate(coeffs), np.concatenate(x), np.concatenate(z)
     )
