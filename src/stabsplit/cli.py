@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -145,6 +146,12 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _check_vbar(values) -> None:
+    """Reject a nan, infinite or negative coupling as a usage error."""
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise UsageError("vbar must be finite and nonnegative")
+
+
 def _resolve(args: argparse.Namespace, cfg: dict[str, str], table: dict) -> dict:
     """Merge flag values, config values, and defaults; flags win.
 
@@ -267,15 +274,17 @@ def run_sweep(args: argparse.Namespace, cfg: dict[str, str]) -> int:
     if any(not -1.0 <= chi <= 1.0 for chi in chis):
         raise UsageError("chi must lie in [-1, 1]")
     if opt["vbar"] is not None:
+        _check_vbar(opt["vbar"])
         vbars = sorted(set(opt["vbar"]))
-    elif opt["linear"]:
-        vbars = list(np.linspace(opt["vbar_min"], opt["vbar_max"], opt["vbar_points"]))
     else:
-        if opt["vbar_min"] <= 0:
-            raise UsageError("log-spaced grids need vbar-min > 0 (use --linear)")
-        vbars = list(np.geomspace(opt["vbar_min"], opt["vbar_max"], opt["vbar_points"]))
-    if any(v < 0 for v in vbars):
-        raise UsageError("coupling values must be nonnegative")
+        # Finite nonnegative bounds give finite nonnegative grid points.
+        _check_vbar((opt["vbar_min"], opt["vbar_max"]))
+        if opt["linear"]:
+            vbars = list(np.linspace(opt["vbar_min"], opt["vbar_max"], opt["vbar_points"]))
+        else:
+            if opt["vbar_min"] <= 0:
+                raise UsageError("log-spaced grids need vbar-min > 0 (use --linear)")
+            vbars = list(np.geomspace(opt["vbar_min"], opt["vbar_max"], opt["vbar_points"]))
 
     if opt["observables"] is None:
         observables = set(OBSERVABLES)
@@ -362,8 +371,7 @@ def _point_params(opt) -> LmgParams:
         raise UsageError("n must be >= 2")
     if not -1.0 <= opt["chi"] <= 1.0:
         raise UsageError("chi must lie in [-1, 1]")
-    if opt["vbar"] < 0:
-        raise UsageError("vbar must be nonnegative")
+    _check_vbar((opt["vbar"],))
     return LmgParams(opt["n"], opt["vbar"], opt["chi"])
 
 

@@ -118,22 +118,28 @@ def ite_curve(h, plan: ItePlan, eig=None) -> list:
     return [ite_evolve(h, plan.initial, tau, plan.e0_bar, eig=eig) for tau in plan.tau_grid]
 
 
-def qitp_operators(h, tau: float, e0_bar: float, eig=None) -> tuple[np.ndarray, np.ndarray]:
-    """Projection pair A = (1 + e^(-2(H-e0)tau))^(-1/2), Q = A e^(-(H-e0)tau).
-
-    Computed by eigendecomposition with log-domain weights, so large shifts
-    and times stay finite.  A^2 + Q^2 = identity exactly.
-    """
+def _projection_matrices(h, tau: float, e0_bar: float, eig, scales) -> list[np.ndarray]:
+    """(1 + e^(scale (H-e0) tau))^(-1/2) for each scale in ``scales``, by
+    eigendecomposition with log-domain weights; scale -2 gives A, +2 gives Q."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
     if isinstance(h, PauliHamiltonian) and h.n > QITP_QUBIT_LIMIT:
         raise ResourceLimitError(f"projection operators guarded at n <= {QITP_QUBIT_LIMIT}")
     evals, evecs = _eigensystem(h, eig)
     shifted = evals - e0_bar
-    a_diag = np.exp(-0.5 * np.logaddexp(0.0, -2.0 * shifted * tau))
-    q_diag = np.exp(-0.5 * np.logaddexp(0.0, 2.0 * shifted * tau))
-    a_mat = (evecs * a_diag) @ evecs.conj().T
-    q_mat = (evecs * q_diag) @ evecs.conj().T
+    return [
+        (evecs * np.exp(-0.5 * np.logaddexp(0.0, scale * shifted * tau))) @ evecs.conj().T
+        for scale in scales
+    ]
+
+
+def qitp_operators(h, tau: float, e0_bar: float, eig=None) -> tuple[np.ndarray, np.ndarray]:
+    """Projection pair A = (1 + e^(-2(H-e0)tau))^(-1/2), Q = A e^(-(H-e0)tau).
+
+    Computed by eigendecomposition with log-domain weights, so large shifts
+    and times stay finite.  A^2 + Q^2 = identity exactly.
+    """
+    a_mat, q_mat = _projection_matrices(h, tau, e0_bar, eig, (-2.0, 2.0))
     return a_mat, q_mat
 
 
@@ -143,16 +149,14 @@ def qitp_unitary(a_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
 
 
 def qitp_postselect(h, initial: np.ndarray, tau: float, e0_bar: float, eig=None):
-    """Apply the block unitary to |0> (x) |initial| and keep the |0> ancilla.
+    """Apply the block unitary to |0> (x) |initial> and keep the |0> ancilla.
 
-    Returns the renormalized collapsed state and the post-selection
-    probability |Q |initial>|^2.
+    The kept half of ``qitp_unitary(A, Q) @ [initial, 0]`` is Q |initial>,
+    so only Q is built and applied.  Returns the renormalized collapsed
+    state and the post-selection probability |Q |initial>|^2.
     """
-    a_mat, q_mat = qitp_operators(h, tau, e0_bar, eig=eig)
-    dim = len(initial)
-    extended = np.concatenate([initial, np.zeros(dim, dtype=initial.dtype)])
-    rotated = qitp_unitary(a_mat, q_mat) @ extended
-    kept = rotated[:dim]
+    (q_mat,) = _projection_matrices(h, tau, e0_bar, eig, (2.0,))
+    kept = q_mat @ initial
     probability = float(np.real(np.vdot(kept, kept)))
     if probability < 1e-14:
         raise ValueError("post-selection probability vanished")

@@ -12,6 +12,7 @@ Y-pair family, the latter two completed by the parity string Z_1..Z_N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -34,7 +35,7 @@ _ROUTE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LmgParams:
-    """Model parameters: spin count n, coupling vbar >= 0, anisotropy chi."""
+    """Model parameters: spin count n, finite coupling vbar >= 0, anisotropy chi."""
 
     n: int
     vbar: float
@@ -43,8 +44,8 @@ class LmgParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError("n must be an integer >= 2")
-        if self.vbar < 0:
-            raise ValueError("vbar must be nonnegative")
+        if not (math.isfinite(self.vbar) and self.vbar >= 0):
+            raise ValueError("vbar must be finite and nonnegative")
         if not -1.0 <= self.chi <= 1.0:
             raise ValueError("chi must lie in [-1, 1]")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import DickeVector
-from .pauli import PauliString, ResourceLimitError, _popcounts, num_qubits
+from .pauli import PauliString, ResourceLimitError, _indices, _popcounts, num_qubits
 
 SRE_QUBIT_LIMIT = 10
 _RANGE_TOL = 1e-9
@@ -26,16 +26,22 @@ def _require_normalized(state: np.ndarray):
         raise ValueError("state is not normalized")
 
 
-def _walsh_last_axis(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis."""
-    d = a.shape[-1]
-    lead = a.shape[:-1]
+def _walsh_leading_axis(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the leading axis.
+
+    Each butterfly stage adds and subtracts contiguous row blocks, writing
+    from ``a`` into ``spare`` and then swapping the two; both buffers are
+    overwritten and the one holding the result is returned.
+    """
+    d = a.shape[0]
+    rest = a.shape[1:]
     h = 1
     while h < d:
-        a = a.reshape(lead + (d // (2 * h), 2, h))
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a = np.stack((top, bot), axis=-2).reshape(lead + (d,))
+        src = a.reshape((d // (2 * h), 2, h) + rest)
+        dst = spare.reshape(src.shape)
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        a, spare = spare, a
         h *= 2
     return a
 
@@ -55,12 +61,18 @@ def sre(state: np.ndarray, alpha: float = 2.0) -> float:
     if alpha <= 0 or alpha == 1:
         raise ValueError("alpha must be positive and different from 1")
     _require_normalized(state)
-    d = 1 << n
-    idx = np.arange(d)
-    # Row x holds conj(psi[b ^ x]) * psi[b]; the Y phase i^|x&z| drops out
-    # because each expectation is real and enters through an even power.
-    cross = np.conj(state)[idx[:, None] ^ idx[None, :]] * state[None, :]
-    expect_sq = np.abs(_walsh_last_axis(cross)) ** 2
+    if not np.any(np.imag(state)):
+        # Real amplitudes: every product, sum and abs below has the same
+        # real part in complex arithmetic, so the result is bit-identical.
+        state = np.real(state)
+    idx = _indices(n)
+    # Column x holds conj(psi[b ^ x]) * psi[b]; the Y phase i^|x&z| drops
+    # out because each expectation is real and enters through an even power.
+    cross = np.conj(state)[idx[:, None] ^ idx[None, :]]
+    cross *= state[:, None]
+    expect = _walsh_leading_axis(cross, np.empty_like(cross))
+    # Back to (x, z) row order, so the pairwise sum adds in the same order.
+    expect_sq = np.ascontiguousarray((np.abs(expect) ** 2).T)
     total = float(np.sum(expect_sq**alpha))
     result = -n + np.log2(total) / (1.0 - alpha) - alpha * n / (1.0 - alpha)
     if -1e-12 < result < 0.0:

@@ -65,8 +65,11 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def _sign_vector(mask: int, n: int) -> np.ndarray:
-    """(-1)**popcount(b & mask) for every basis index b, as a float array."""
+def _sign_vector(mask, n: int) -> np.ndarray:
+    """(-1)**popcount(b & mask) for every basis index b, as a float array.
+
+    An int array of masks broadcasts against the indices, so a column of
+    masks gives one sign row per mask."""
     return 1.0 - 2.0 * (np.bitwise_count(_indices(n) & mask) & 1).astype(np.int64)
 
 
@@ -345,39 +348,58 @@ class PauliHamiltonian:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def dense(self) -> np.ndarray:
+    def _dense_parts(self):
+        """Per-term x word, z word and Y count, read from the packed rows.
+
+        One word per row holds every bit, since ``dense`` guards
+        n <= DENSE_QUBIT_LIMIT < 64.
+        """
         if self.n > DENSE_QUBIT_LIMIT:
             raise ResourceLimitError(f"dense matrix guarded at n <= {DENSE_QUBIT_LIMIT}")
+        x = self.x[:, 0].astype(np.int64)
+        z = self.z[:, 0].astype(np.int64)
+        return x, z, np.bitwise_count(x & z)
+
+    def _scatter(self, x: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Sum of the terms' matrices scale_t * X^x_t Z^z_t, entry by entry.
+
+        Term t puts scale_t * (-1)^|b & z_t| at (b ^ x_t, b).  ``np.add.at``
+        adds the terms in storage order from +0.0, so every entry is the same
+        float sum as adding one term's matrix after another.
+        """
         dim = 1 << self.n
         idx = _indices(self.n)
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, s in self.terms:
-            w = _popcount(s.x_bits & s.z_bits)
-            vals = (coeff * 1j**w) * _sign_vector(s.z_bits, self.n)
-            out[idx ^ s.x_bits, idx] += vals
-        return out
+        flat = ((idx ^ x[:, None]) << self.n) | idx
+        vals = scale[:, None] * _sign_vector(z[:, None], self.n)
+        out = np.zeros(dim * dim, dtype=scale.dtype)
+        np.add.at(out, flat.ravel(), vals.ravel())
+        return out.reshape(dim, dim)
+
+    def dense(self) -> np.ndarray:
+        x, z, w = self._dense_parts()
+        phases = np.array([1j**k for k in range(4)])
+        return self._scatter(x, z, self.coeffs * phases[w % 4])
 
     def dense_real(self) -> np.ndarray:
         """Real float64 dense matrix; valid because every Hermitian phase +1
         string with an even number of Y sites is a real matrix and real
         coefficients keep the sum real.  Raises if any term is odd in Y."""
-        if self.n > DENSE_QUBIT_LIMIT:
-            raise ResourceLimitError(f"dense matrix guarded at n <= {DENSE_QUBIT_LIMIT}")
-        dim = 1 << self.n
-        idx = _indices(self.n)
-        out = np.zeros((dim, dim), dtype=float)
-        for coeff, s in self.terms:
-            w = _popcount(s.x_bits & s.z_bits)
-            if w % 2:
-                raise ValueError("term with odd Y count has an imaginary matrix")
-            vals = (coeff * (-1.0) ** (w // 2)) * _sign_vector(s.z_bits, self.n)
-            out[idx ^ s.x_bits, idx] += vals
-        return out
+        x, z, w = self._dense_parts()
+        if np.any(w % 2):
+            raise ValueError("term with odd Y count has an imaginary matrix")
+        return self._scatter(x, z, self.coeffs * (1.0 - 2.0 * (w // 2 % 2)))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
+        if len(vec) != 1 << self.n:
+            raise ValueError("statevector length mismatch")
+        idx = _indices(self.n)
         out = np.zeros(len(vec), dtype=complex)
-        for coeff, s in self.terms:
-            out += coeff * s.apply(vec)
+        for coeff, x, z in zip(self.coeffs.tolist(), _unpack(self.x), _unpack(self.z)):
+            factor = 1j ** (_popcount(x & z) % 4)
+            signed = vec * _sign_vector(z, self.n)
+            if x:
+                signed = signed[idx ^ x]
+            out += coeff * (factor * signed)
         return out
 
     def expectation(self, vec: np.ndarray) -> float:

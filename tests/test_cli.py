@@ -397,6 +397,36 @@ class TestAdaptCommand:
         assert code == 2
 
 
+class TestNonFiniteCoupling:
+    """nan and inf couplings are usage errors before any work starts."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--n", "4"],
+            ["sweep", "--n", "4", "--jobs", "1"],
+            ["qitp", "--n", "4"],
+            ["adapt", "--n", "4"],
+        ],
+    )
+    def test_vbar_rejected(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, argv + ["--vbar", value])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--vbar-min", "nan"], ["--vbar-max", "inf"], ["--linear", "--vbar-max", "nan"]],
+    )
+    def test_sweep_grid_bounds_rejected(self, capsys, bounds):
+        code, out, err = run_cli(capsys, ["sweep", "--n", "4", "--jobs", "1"] + bounds)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 class TestEntryPoints:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:

@@ -297,6 +297,40 @@ class TestQitpPostselect:
         )
 
 
+def postselect_by_block_unitary(h, initial, tau, e0_bar, eig):
+    """Reference post-selection: the full block unitary on |0> (x) |initial>."""
+    a_mat, q_mat = qitp_operators(h, tau, e0_bar, eig=eig)
+    dim = len(initial)
+    extended = np.concatenate([initial, np.zeros(dim, dtype=initial.dtype)])
+    kept = (qitp_unitary(a_mat, q_mat) @ extended)[:dim]
+    probability = float(np.real(np.vdot(kept, kept)))
+    return kept / np.sqrt(probability), probability
+
+
+class TestQitpPostselectBits:
+    def test_matches_block_unitary_route_bit_for_bit(self):
+        for n in range(2, 9):
+            for vbar in (1.1, 5.0):
+                params = LmgParams(n, vbar)
+                h = build_lmg(params)
+                eig = np.linalg.eigh(h.dense_real())
+                e0 = select_split(h, params).stab_energy
+                for initial in (pair_statevector(n), all_down(n)):
+                    for tau in np.linspace(0.0, 5.0, 26):
+                        state, prob = qitp_postselect(h, initial, float(tau), e0, eig=eig)
+                        want, want_prob = postselect_by_block_unitary(
+                            h, initial, float(tau), e0, eig
+                        )
+                        assert np.array_equal(state, want)
+                        assert prob == want_prob
+
+    def test_validation_shared_with_operators(self):
+        with pytest.raises(ValueError):
+            qitp_postselect(build_lmg(LmgParams(3, 1.0)), all_down(3), -0.1, 0.0)
+        with pytest.raises(ResourceLimitError):
+            qitp_postselect(build_lmg(LmgParams(11, 1.0)), all_down(11), 1.0, 0.0)
+
+
 class TestVariationalJz:
     def test_two_spins_recover_exact(self):
         for vbar in (1.5, 2.0, 3.0, 5.0, 10.0):

@@ -29,6 +29,11 @@ class TestParams:
         with pytest.raises(ValueError):
             LmgParams(4, 1.0, chi=1.5)
 
+    def test_rejects_non_finite_vbar(self):
+        for vbar in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                LmgParams(4, vbar)
+
 
 class TestBuildLmg:
     def test_three_spin_coefficients(self):

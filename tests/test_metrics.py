@@ -153,6 +153,60 @@ class TestSre:
         assert 1.5 <= peak <= 3.0
 
 
+def sre_stack_reference(state, alpha=2.0):
+    """Reference ``sre``: complex cross matrix in (x, b) rows and a
+    last-axis Walsh-Hadamard transform that stacks each stage's halves."""
+    n = int(np.log2(len(state)))
+    d = 1 << n
+    idx = np.arange(d)
+    a = np.conj(state)[idx[:, None] ^ idx[None, :]] * state[None, :]
+    h = 1
+    while h < d:
+        a = a.reshape((d, d // (2 * h), 2, h))
+        top = a[..., 0, :] + a[..., 1, :]
+        bot = a[..., 0, :] - a[..., 1, :]
+        a = np.stack((top, bot), axis=-2).reshape((d, d))
+        h *= 2
+    total = float(np.sum((np.abs(a) ** 2) ** alpha))
+    result = -n + np.log2(total) / (1.0 - alpha) - alpha * n / (1.0 - alpha)
+    if -1e-12 < result < 0.0:
+        result = 0.0
+    return float(result)
+
+
+class TestSreKernel:
+    """The leading-axis transform and the real-state shortcut must give the
+    same float as the stacked complex reference, not merely a close one."""
+
+    def test_complex_states_bit_identical(self):
+        rng = np.random.default_rng(43)
+        for n in range(1, 11):
+            state = random_state(rng, n)
+            for alpha in (2.0, 3.0):
+                assert sre(state, alpha) == sre_stack_reference(state, alpha)
+
+    def test_real_states_bit_identical(self):
+        rng = np.random.default_rng(47)
+        for n in range(1, 11):
+            vec = rng.normal(size=1 << n)
+            states = [vec / np.linalg.norm(vec), (vec / np.linalg.norm(vec)).astype(complex)]
+            if n >= 2:
+                states += [
+                    dense_ground_state(LmgParams(n, vbar, chi))[1]
+                    for vbar, chi in ((0.3, -1.0), (1.1, -1.0), (5.0, 0.5))
+                ]
+            for state in states:
+                for alpha in (2.0, 3.0):
+                    assert sre(state, alpha) == sre_stack_reference(state, alpha)
+
+    def test_stabilizer_states_bit_identical(self):
+        rng = np.random.default_rng(53)
+        for n in (2, 5, 8):
+            state, _ = random_clifford_state(rng, n)
+            assert sre(state) == sre_stack_reference(state)
+            assert abs(sre(state)) < 1e-12
+
+
 class TestOneSpinEntropy:
     def entropy_oracle(self, state, n):
         block = state.reshape(2, 1 << (n - 1))

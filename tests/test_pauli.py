@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from stabsplit.adapt import pool
+from stabsplit.lmg import LmgParams, build_lmg
 from stabsplit.pauli import (
     PauliHamiltonian,
     PauliString,
@@ -212,6 +214,118 @@ class TestBitCounts:
                     if (mask >> p) & 1:
                         parity ^= bits[p]
                 assert _sign_vector(mask, n).tobytes() == (1.0 - 2.0 * parity).tobytes()
+
+
+def dense_by_terms(h):
+    """Reference ``dense``: one scatter-add per decoded term, in order."""
+    dim = 1 << h.n
+    idx = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    for coeff, s in h.terms:
+        w = (s.x_bits & s.z_bits).bit_count()
+        vals = (coeff * 1j**w) * _sign_vector(s.z_bits, h.n)
+        out[idx ^ s.x_bits, idx] += vals
+    return out
+
+
+def dense_real_by_terms(h):
+    """Reference ``dense_real``: one scatter-add per decoded term, in order."""
+    dim = 1 << h.n
+    idx = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=float)
+    for coeff, s in h.terms:
+        w = (s.x_bits & s.z_bits).bit_count()
+        vals = (coeff * (-1.0) ** (w // 2)) * _sign_vector(s.z_bits, h.n)
+        out[idx ^ s.x_bits, idx] += vals
+    return out
+
+
+def apply_by_terms(h, vec):
+    """Reference ``apply``: the sum of the decoded strings' actions, in order."""
+    out = np.zeros(len(vec), dtype=complex)
+    for coeff, s in h.terms:
+        out += coeff * s.apply(vec)
+    return out
+
+
+def lmg_hamiltonians():
+    for n in range(2, 11):
+        for chi in (-1.0, 0.0, 0.5, 1.0):
+            for vbar in (0.0, 0.3, 5.0):
+                yield build_lmg(LmgParams(n, vbar, chi))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestDenseFromRows:
+    """``dense``, ``dense_real`` and ``apply`` read the packed rows; every
+    entry must be the same float sum as the per-term loops over ``terms``."""
+
+    def test_lmg_matrices_bit_identical(self):
+        for h in lmg_hamiltonians():
+            dense, dense_real = h.dense(), h.dense_real()
+            assert_same_bits(dense, dense_by_terms(h))
+            assert_same_bits(dense_real, dense_real_by_terms(h))
+
+    def test_lmg_apply_bit_identical(self):
+        rng = np.random.default_rng(31)
+        for h in lmg_hamiltonians():
+            dim = 1 << h.n
+            vecs = (rng.normal(size=dim) + 1j * rng.normal(size=dim), rng.normal(size=dim))
+            got = [h.apply(v) for v in vecs]
+            for out, v in zip(got, vecs):
+                assert_same_bits(out, apply_by_terms(h, v))
+
+    def test_adapt_pool_odd_y_bit_identical(self):
+        rng = np.random.default_rng(37)
+        for n in range(2, 8):
+            vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            for op in pool(n):
+                h = op.as_hamiltonian()
+                with pytest.raises(ValueError):
+                    h.dense_real()
+                dense, applied = h.dense(), h.apply(vec)
+                assert_same_bits(dense, dense_by_terms(h))
+                assert_same_bits(applied, apply_by_terms(h, vec))
+
+    def test_random_sums_bit_identical(self):
+        # Many terms share each x word here, so an entry adds four or more
+        # unequal coefficients and the order of the additions shows.
+        rng = np.random.default_rng(41)
+        for n, count in ((1, 8), (2, 40), (3, 120), (6, 200)):
+            terms = [(float(rng.normal()), random_string(rng, n).unsigned()) for _ in range(count)]
+            h = PauliHamiltonian.from_terms(n, terms)
+            vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            dense, applied = h.dense(), h.apply(vec)
+            assert_same_bits(dense, dense_by_terms(h))
+            assert_same_bits(applied, apply_by_terms(h, vec))
+
+    def test_terms_never_decoded(self):
+        h = build_lmg(LmgParams(6, 1.5, 0.5))
+        vec = np.ones(1 << 6, dtype=complex) / 8.0
+        h.dense_real()
+        h.dense()
+        h.apply(vec)
+        h.expectation(vec)
+        assert "terms" not in h.__dict__
+
+    def test_empty_hamiltonian_is_zero(self):
+        h = PauliHamiltonian(3, ())
+        assert_same_bits(h.dense(), np.zeros((8, 8), dtype=complex))
+        assert_same_bits(h.dense_real(), np.zeros((8, 8)))
+        assert_same_bits(h.apply(np.ones(8)), np.zeros(8, dtype=complex))
+
+    def test_guards(self):
+        h = PauliHamiltonian(15, ())
+        with pytest.raises(ResourceLimitError):
+            h.dense()
+        with pytest.raises(ResourceLimitError):
+            h.dense_real()
+        with pytest.raises(ValueError):
+            build_lmg(LmgParams(3, 1.0)).apply(np.ones(4))
 
 
 def test_canonical_phase():
