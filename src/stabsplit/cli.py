@@ -41,8 +41,7 @@ from .lmg import (
 )
 from .metrics import SRE_QUBIT_LIMIT, n_tangle_dicke, one_spin_entropy_dicke, sre
 from .pauli import PauliHamiltonian
-
-STATE_EMIT_LIMIT = 14
+from .tableau import STATEVECTOR_QUBIT_LIMIT
 
 COLUMNS = (
     "N",
@@ -398,8 +397,8 @@ def run_prepare(args: argparse.Namespace, cfg: dict[str, str]) -> int:
         raise UsageError("family must be s1 or s2")
     lines = _split_report(split)
     if opt["emit_state"]:
-        if params.n > STATE_EMIT_LIMIT:
-            raise UsageError(f"state emission needs n <= {STATE_EMIT_LIMIT}")
+        if params.n > STATEVECTOR_QUBIT_LIMIT:
+            raise UsageError(f"state emission needs n <= {STATEVECTOR_QUBIT_LIMIT}")
         state = prepare_stab_state(split)
         lines.append("state:")
         for idx in np.nonzero(np.abs(state) > 1e-12)[0]:

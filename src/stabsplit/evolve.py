@@ -34,9 +34,8 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class ItePlan:
-    """Imaginary-time schedule: energy shift, tau grid from 0, start state."""
+    """Imaginary-time schedule: tau grid from 0, start state."""
 
-    e0_bar: float
     tau_grid: tuple[float, ...]
     initial: object
 
@@ -63,12 +62,10 @@ class VariationalResult:
 
 
 def _hermitian_matrix(h) -> np.ndarray:
+    """``h`` itself if it is a matrix, else its real dense matrix."""
     if isinstance(h, np.ndarray):
         return h
-    try:
-        return h.dense_real()
-    except ValueError:
-        return h.dense()
+    return h.dense_real()
 
 
 def _eigensystem(h, eig):
@@ -77,14 +74,14 @@ def _eigensystem(h, eig):
     return np.linalg.eigh(_hermitian_matrix(h))
 
 
-def ite_evolve(h, initial, tau: float, e0_bar: float = 0.0, eig=None):
-    """Normalized imaginary-time flow exp(-(H - e0_bar) tau) |initial>.
+def ite_evolve(h, initial, tau: float, eig=None):
+    """Normalized imaginary-time flow exp(-H tau) |initial>.
 
     ``h`` is a PauliHamiltonian or a Hermitian matrix over the same basis as
     ``initial``; passing a DickeVector with the matching collective-sector
-    matrix evolves in O(N) dimensions.  The normalized result does not
-    depend on e0_bar (a scalar reweighting); the shift only matters for the
-    projection operators below.  ``eig`` takes a precomputed (, vectors)
+    matrix evolves in O(N) dimensions.  An energy shift would only rescale
+    the unnormalized state, so there is none; it matters only for the
+    projection operators below.  ``eig`` takes a precomputed (values, vectors)
     eigensystem to amortize repeated calls.
     """
     if tau < 0:
@@ -115,7 +112,7 @@ def ite_evolve(h, initial, tau: float, e0_bar: float = 0.0, eig=None):
 def ite_curve(h, plan: ItePlan, eig=None) -> list:
     """States of the plan's tau grid, sharing one eigendecomposition."""
     eig = _eigensystem(h, eig)
-    return [ite_evolve(h, plan.initial, tau, plan.e0_bar, eig=eig) for tau in plan.tau_grid]
+    return [ite_evolve(h, plan.initial, tau, eig=eig) for tau in plan.tau_grid]
 
 
 def _projection_matrices(h, tau: float, e0_bar: float, eig, scales) -> list[np.ndarray]:

@@ -17,9 +17,9 @@ import numpy as np
 
 from .lmg import LmgParams, build_lmg
 from .pauli import ResourceLimitError, _popcounts, canonical_phase
+from .tableau import STATEVECTOR_QUBIT_LIMIT
 
 DENSE_GROUND_LIMIT = 12
-STATEVECTOR_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,10 @@ def dicke_to_statevector(state: DickeVector) -> np.ndarray:
     states with k spin-ups (k zero bits).
     """
     n = state.n
-    if n > STATEVECTOR_LIMIT:
-        raise ResourceLimitError(f"statevector expansion guarded at n <= {STATEVECTOR_LIMIT}")
+    if n > STATEVECTOR_QUBIT_LIMIT:
+        raise ResourceLimitError(
+            f"statevector expansion guarded at n <= {STATEVECTOR_QUBIT_LIMIT}"
+        )
     k_of_b = n - _popcounts(n)
     out = np.zeros(1 << n, dtype=complex)
     for k, amp in zip(state.ks, state.amps):

@@ -90,9 +90,7 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
         coeffs.append(np.tile([c for c, _, _ in kinds], len(pairs)))
         x.append(np.stack([kx for _, kx, _ in kinds], axis=1).reshape(-1, singles.shape[1]))
         z.append(np.stack([kz for _, _, kz in kinds], axis=1).reshape(-1, singles.shape[1]))
-    return PauliHamiltonian.from_arrays(
-        n, np.concatenate(coeffs), np.concatenate(x), np.concatenate(z)
-    )
+    return PauliHamiltonian(n, np.concatenate(coeffs), np.concatenate(x), np.concatenate(z))
 
 
 # -- family builders ---------------------------------------------------------
@@ -260,7 +258,8 @@ def preparation_circuit(split: HamiltonianSplit) -> list[CliffordGate]:
 
     The product family is a layer of X gates.  The pair family follows the
     star-graph route: Hadamards, the star of CZ gates onto the hub qubit n,
-    a final Hadamard on the hub, and an X on qubit 1 when n is odd.
+    a final Hadamard on the hub, and an X on qubit 1 when the group has odd
+    parity (``_odd_parity``).
     """
     n = split.params.n
     group = split.group
@@ -277,10 +276,19 @@ def preparation_circuit(split: HamiltonianSplit) -> list[CliffordGate]:
         gates = [CliffordGate("H", (q,)) for q in range(1, n + 1)]
         gates += [CliffordGate("CZ", (i, n)) for i in range(1, n)]
         gates.append(CliffordGate("H", (n,)))
-        if n % 2:
+        if _odd_parity(group):
             gates.append(CliffordGate("X", (1,)))
         return gates
     raise ValueError(f"no preparation circuit for family {split.family!r}")
+
+
+def _odd_parity(group: StabilizerGroup) -> bool:
+    """Whether the group's state has Z_1..Z_n expectation -1.
+
+    True for the default parity completion exactly when n is odd; at n = 2 the
+    sign search can also pick the negated completion.
+    """
+    return group.expectation(parity_string(group.n).unsigned()) == -1
 
 
 def _ladder_state(n: int, seed_one: bool) -> np.ndarray:
@@ -296,13 +304,18 @@ def _ladder_state(n: int, seed_one: bool) -> np.ndarray:
     return vec
 
 
-def _star_route_state(n: int) -> np.ndarray:
+def _star_route_state(n: int, flip_first: bool | None = None) -> np.ndarray:
+    """Star graph state with a Hadamard on the hub qubit n, then an X on
+    qubit 1 if ``flip_first``; by default when n is odd, the parity of the
+    default completion."""
+    if flip_first is None:
+        flip_first = bool(n % 2)
     star = np.zeros((n, n), dtype=np.int8)
     star[: n - 1, n - 1] = 1
     star[n - 1, : n - 1] = 1
     vec = prepare_graph_state(star)
     vec = apply_circuit(vec, n, [CliffordGate("H", (n,))])
-    if n % 2:
+    if flip_first:
         vec = apply_circuit(vec, n, [CliffordGate("X", (1,))])
     return vec
 
@@ -323,8 +336,9 @@ def prepare_stab_state(split: HamiltonianSplit) -> np.ndarray:
         "projector": split.group.to_statevector(),
     }
     if split.family == "s2":
-        routes["ladder"] = _ladder_state(n, seed_one=bool(n % 2))
-        routes["graph"] = _star_route_state(n)
+        odd = _odd_parity(split.group)
+        routes["ladder"] = _ladder_state(n, seed_one=odd)
+        routes["graph"] = _star_route_state(n, flip_first=odd)
     names = list(routes)
     for a in range(len(names)):
         for b in range(a + 1, len(names)):

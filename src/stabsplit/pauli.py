@@ -46,10 +46,6 @@ class ResourceLimitError(ValueError):
     """Raised when an operation would exceed its dense-resource guard."""
 
 
-def _popcount(value: int) -> int:
-    return value.bit_count()
-
-
 @lru_cache(maxsize=32)
 def _indices(n: int) -> np.ndarray:
     idx = np.arange(1 << n, dtype=np.int64)
@@ -204,10 +200,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase_exp % 2 == 0
 
-    @property
-    def weight(self) -> int:
-        return _popcount(self.x_bits | self.z_bits)
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("qubit counts differ")
@@ -216,18 +208,18 @@ class PauliString:
         # Per qubit: sigma(x1,z1) sigma(x2,z2) = i**d sigma(x1^x2, z1^z2) with
         # d = x1 z1 + x2 z2 + 2 z1 x2 - x3 z3, summed here via popcounts.
         d = (
-            _popcount(self.x_bits & self.z_bits)
-            + _popcount(other.x_bits & other.z_bits)
-            + 2 * _popcount(self.z_bits & other.x_bits)
-            - _popcount(x3 & z3)
+            (self.x_bits & self.z_bits).bit_count()
+            + (other.x_bits & other.z_bits).bit_count()
+            + 2 * (self.z_bits & other.x_bits).bit_count()
+            - (x3 & z3).bit_count()
         )
         return PauliString(self.n, x3, z3, self.phase_exp + other.phase_exp + d)
 
     def commutes(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        overlap = _popcount(self.x_bits & other.z_bits) + _popcount(self.z_bits & other.x_bits)
-        return overlap % 2 == 0
+        overlap = (self.x_bits & other.z_bits) ^ (self.z_bits & other.x_bits)
+        return overlap.bit_count() % 2 == 0
 
     def negate(self) -> "PauliString":
         return PauliString(self.n, self.x_bits, self.z_bits, self.phase_exp + 2)
@@ -252,21 +244,22 @@ class PauliString:
         """Apply to a statevector of length 2^n without forming the matrix."""
         if len(vec) != 1 << self.n:
             raise ValueError("statevector length mismatch")
-        factor = 1j ** ((self.phase_exp + _popcount(self.x_bits & self.z_bits)) % 4)
+        factor = 1j ** ((self.phase_exp + (self.x_bits & self.z_bits).bit_count()) % 4)
         signed = vec * _sign_vector(self.z_bits, self.n)
         if self.x_bits:
             signed = signed[_indices(self.n) ^ self.x_bits]
         return factor * signed
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class PauliHamiltonian:
     """A real linear combination of Hermitian, phase +1 Pauli strings.
 
     Stored packed: ``coeffs`` holds one float64 coefficient per term, and the
     read-only uint64 arrays ``x`` and ``z`` hold one row of ``_words(n)``
     words per term, least significant word first, with the bit layout of
-    ``PauliString.x_bits`` / ``z_bits``.  The unsigned strings are unique.
+    ``PauliString.x_bits`` / ``z_bits``.  The unsigned strings must be
+    unique; ``from_terms`` builds them from (coefficient, string) pairs.
     ``terms`` is the same data as (coefficient, string) pairs, decoded on
     first access.  Instances compare by identity.
     """
@@ -276,43 +269,19 @@ class PauliHamiltonian:
     x: np.ndarray
     z: np.ndarray
 
-    def __init__(self, n: int, terms=()):
-        """Pack (coefficient, string) pairs of unique phase +1 strings in the
-        given order.  ``from_terms`` also folds signs and merges repeats."""
-        terms = tuple(terms)
-        for _, string in terms:
-            if string.n != n:
-                raise ValueError("string qubit count differs from Hamiltonian")
-            if string.phase_exp:
-                raise ValueError(f"term {string.render()} is not phase +1")
-        words = _words(n)
-        self._store(
-            n,
-            [c for c, _ in terms],
-            _pack([s.x_bits for _, s in terms], words),
-            _pack([s.z_bits for _, s in terms], words),
-        )
-
-    @classmethod
-    def from_arrays(cls, n: int, coeffs, x, z) -> "PauliHamiltonian":
-        """Wrap packed terms: ``coeffs`` and (terms, ``_words(n)``) uint64 rows
-        ``x``, ``z`` of unique unsigned strings.  The arrays are made read-only."""
-        h = cls.__new__(cls)
-        h._store(n, coeffs, x, z)
-        return h
-
-    def _store(self, n: int, coeffs, x, z) -> None:
-        coeffs = np.asarray(coeffs, dtype=np.float64).reshape(-1)
-        shape = (len(coeffs), _words(n))
-        x = np.asarray(x, dtype=np.uint64).reshape(shape)
-        z = np.asarray(z, dtype=np.uint64).reshape(shape)
-        for array in (coeffs, x, z):
+    def __post_init__(self):
+        coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(-1)
+        shape = (len(coeffs), _words(self.n))
+        x = np.asarray(self.x, dtype=np.uint64).reshape(shape)
+        z = np.asarray(self.z, dtype=np.uint64).reshape(shape)
+        for name, array in (("coeffs", coeffs), ("x", x), ("z", z)):
             array.setflags(write=False)
-        for name, value in (("n", n), ("coeffs", coeffs), ("x", x), ("z", z)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "PauliHamiltonian":
+        """Sum (coefficient, string) pairs: signs fold into the coefficients,
+        repeated strings merge in first-seen order, and zero sums drop."""
         merged: dict[tuple[int, int], float] = {}
         for coeff, string in terms:
             if string.n != n:
@@ -326,7 +295,7 @@ class PauliHamiltonian:
             merged[key] = merged.get(key, 0.0) + c
         kept = [(key, c) for key, c in merged.items() if c != 0.0]
         words = _words(n)
-        return cls.from_arrays(
+        return cls(
             n,
             [c for _, c in kept],
             _pack([x for (x, _), _ in kept], words),
@@ -343,7 +312,7 @@ class PauliHamiltonian:
 
     def subset(self, keep: np.ndarray) -> "PauliHamiltonian":
         """The terms where the boolean mask ``keep`` is true, in order."""
-        return PauliHamiltonian.from_arrays(self.n, self.coeffs[keep], self.x[keep], self.z[keep])
+        return PauliHamiltonian(self.n, self.coeffs[keep], self.x[keep], self.z[keep])
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -395,7 +364,7 @@ class PauliHamiltonian:
         idx = _indices(self.n)
         out = np.zeros(len(vec), dtype=complex)
         for coeff, x, z in zip(self.coeffs.tolist(), _unpack(self.x), _unpack(self.z)):
-            factor = 1j ** (_popcount(x & z) % 4)
+            factor = 1j ** ((x & z).bit_count() % 4)
             signed = vec * _sign_vector(z, self.n)
             if x:
                 signed = signed[idx ^ x]

@@ -378,68 +378,23 @@ class StabilizerGroup:
         return canonical_phase(vec / norm)
 
     def _compatible_basis_state(self) -> int:
-        """A basis index with nonzero amplitude, from the Z-only subgroup."""
-        rows = list(self.generators)
-        r = 0
-        for qubit in range(1, self.n + 1):
-            mask = 1 << (self.n - qubit)
-            hit = next((i for i in range(r, len(rows)) if rows[i].x_bits & mask), None)
-            if hit is None:
-                continue
-            rows[r], rows[hit] = rows[hit], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i].x_bits & mask:
-                    rows[i] = rows[i] * rows[r]
-            r += 1
-        # Rows r.. are Z-only; each demands (-1)^(z.b) equal its sign.
-        constraints = [(g.z_bits, g.phase_exp // 2) for g in rows[r:]]
-        solved: dict[int, tuple[int, int]] = {}
-        for zmask, rhs in constraints:
-            for pivot, (pz, prhs) in solved.items():
-                if (zmask >> pivot) & 1:
-                    zmask ^= pz
-                    rhs ^= prhs
-            if zmask == 0:
-                if rhs:
-                    raise ValueError("group contains minus identity")
-                continue
-            pivot = zmask.bit_length() - 1
-            for other_pivot in list(solved):
-                oz, orhs = solved[other_pivot]
-                if (oz >> pivot) & 1:
-                    solved[other_pivot] = (oz ^ zmask, orhs ^ rhs)
-            solved[pivot] = (zmask, rhs)
+        """A basis index with nonzero amplitude, read off the reduced basis.
+
+        Rows pivoted in the z half have x = 0, and together they are the fully
+        reduced basis of the Z-only subgroup.  Each demands (-1)^(z.b) equal
+        its sign; setting b to one exactly at the pivots of the negative rows
+        meets every demand, since each row's z has a one at its own pivot and
+        zeros at the other rows' pivots.
+        """
+        shift = 64 * _words(self.n)
         b = 0
-        for pivot, (_, rhs) in solved.items():
-            if rhs:
+        for pivot, (_, elem) in self._basis.items():
+            if pivot < shift and elem.phase_exp == 2:
                 b |= 1 << pivot
         return b
 
     def to_graph_state(self) -> "GraphStateForm":
         return _reduce_to_graph(self)
-
-
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Binary (X | Z) view of a generator list with a sign vector."""
-
-    n: int
-    x: np.ndarray
-    z: np.ndarray
-    signs: np.ndarray
-
-    @classmethod
-    def from_generators(cls, gens, n: int) -> "GeneratorMatrix":
-        x = np.zeros((len(gens), n), dtype=np.uint8)
-        z = np.zeros((len(gens), n), dtype=np.uint8)
-        signs = np.ones(len(gens), dtype=np.int8)
-        for i, g in enumerate(gens):
-            for qubit in range(1, n + 1):
-                pos = n - qubit
-                x[i, qubit - 1] = (g.x_bits >> pos) & 1
-                z[i, qubit - 1] = (g.z_bits >> pos) & 1
-            signs[i] = 1 if g.phase_exp == 0 else -1
-        return cls(n, x, z, signs)
 
 
 @dataclass
@@ -531,12 +486,15 @@ def _reduce_to_graph(group: StabilizerGroup) -> GraphStateForm:
             rows = [conjugate_pauli(g, gate) for g in rows]
             applied.append(("Z", qubit))
 
-    gm = GeneratorMatrix.from_generators(rows, n)
-    if not np.array_equal(gm.x, np.eye(n, dtype=np.uint8)):
+    if any(row.x_bits != 1 << (n - q) for q, row in enumerate(rows, start=1)):
         raise AssertionError("graph reduction left a non-identity X block")
-    if not np.array_equal(gm.z, gm.z.T) or gm.z.diagonal().any():
+    adjacency = np.array(
+        [[(row.z_bits >> (n - q)) & 1 for q in range(1, n + 1)] for row in rows],
+        dtype=np.int8,
+    )
+    if not np.array_equal(adjacency, adjacency.T) or adjacency.diagonal().any():
         raise AssertionError("graph reduction left an invalid adjacency block")
-    if not (gm.signs == 1).all():
+    if any(row.phase_exp for row in rows):
         raise AssertionError("graph reduction left unresolved signs")
 
     # The applied gates U map the input group onto the graph group, so the
@@ -545,7 +503,7 @@ def _reduce_to_graph(group: StabilizerGroup) -> GraphStateForm:
     for name, qubit in applied:
         inverses[qubit - 1] = inverses[qubit - 1] + _INVERSE_LETTERS[name]
     labels = tuple(lbl.replace("SS", "Z") if lbl else "I" for lbl in inverses)
-    return GraphStateForm(n, gm.z.astype(np.int8), labels)
+    return GraphStateForm(n, adjacency, labels)
 
 
 def prepare_graph_state(adjacency: np.ndarray) -> np.ndarray:

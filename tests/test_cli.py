@@ -318,6 +318,17 @@ class TestPrepare:
         code, out, _ = run_cli(capsys, ["prepare", "--n", "4", "--vbar", "0.5"])
         assert code == 0 and out.startswith("family: s1")
 
+    def test_two_spin_odd_parity_pair_state(self, capsys):
+        # chi > 0 at n = 2 selects {+X1X2, -Z1Z2}: (|01> + |10>)/sqrt(2).
+        code, out, _ = run_cli(
+            capsys, ["prepare", "--n", "2", "--chi", "0.5", "--vbar", "2", "--emit-state"]
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert "-Z1Z2" in lines
+        assert "circuit: H 1; H 2; CZ 1 2; H 2; X 1" in lines
+        assert [l.split()[0] for l in lines[lines.index("state:") + 1 :]] == ["01", "10"]
+
     def test_emit_state_guarded(self, capsys):
         code, _, _ = run_cli(capsys, ["prepare", "--n", "15", "--emit-state"])
         assert code == 2

@@ -14,6 +14,7 @@ from stabsplit.lmg import (
     prepare_stab_state,
     product_family_group,
     select_split,
+    split_around,
     symmetry_breaking_energy,
 )
 from stabsplit.pauli import PauliHamiltonian, PauliString
@@ -261,6 +262,29 @@ class TestPreparation:
         start[0] = 1.0
         via_circuit = apply_circuit(start, 5, preparation_circuit(split))
         assert np.allclose(via_circuit, prepare_stab_state(split), atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_circuits_prepare_their_groups(self, n):
+        # The selected split and the best split of each family, as `prepare`
+        # builds them.  At n = 2 with chi > 0 the sign search completes the
+        # X-pair family with -Z1Z2, so the final X cannot follow n alone.
+        start = np.zeros(1 << n, dtype=complex)
+        start[0] = 1.0
+        for chi in (-1.0, 0.0, 0.5, 1.0):
+            for vbar in (0.5, 2.0, 5.0):
+                params = LmgParams(n, vbar, chi)
+                h = build_lmg(params)
+                candidates = candidate_groups(h, params)
+                splits = [select_split(h, params)]
+                for family in ("s1", "s2"):
+                    best = min(
+                        (c for c in candidates if c.family == family), key=lambda c: c.energy
+                    )
+                    splits.append(split_around(h, params, best))
+                for split in splits:
+                    built = apply_circuit(start, n, preparation_circuit(split))
+                    overlap = abs(np.vdot(built, split.group.to_statevector()))
+                    assert overlap >= 1.0 - 1e-12, (chi, vbar, split.family)
 
     def test_pair_state_parity(self):
         for n in (3, 4, 5, 6):

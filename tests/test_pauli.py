@@ -313,13 +313,13 @@ class TestDenseFromRows:
         assert "terms" not in h.__dict__
 
     def test_empty_hamiltonian_is_zero(self):
-        h = PauliHamiltonian(3, ())
+        h = PauliHamiltonian.from_terms(3, ())
         assert_same_bits(h.dense(), np.zeros((8, 8), dtype=complex))
         assert_same_bits(h.dense_real(), np.zeros((8, 8)))
         assert_same_bits(h.apply(np.ones(8)), np.zeros(8, dtype=complex))
 
     def test_guards(self):
-        h = PauliHamiltonian(15, ())
+        h = PauliHamiltonian.from_terms(15, ())
         with pytest.raises(ResourceLimitError):
             h.dense()
         with pytest.raises(ResourceLimitError):

@@ -8,7 +8,6 @@ from stabsplit.lmg import LmgParams, build_lmg, candidate_groups
 from stabsplit.pauli import PauliHamiltonian, PauliString, canonical_phase
 from stabsplit.tableau import (
     CliffordGate,
-    GeneratorMatrix,
     StabilizerGroup,
     apply_circuit,
     apply_gate,
@@ -251,7 +250,7 @@ class TestBatchedExpectations:
         h = PauliHamiltonian.from_terms(2, [(0.5, PauliString.identity(2))])
         assert list(g.expectations(h)) == [1]
         assert g.energy(h) == 0.5
-        empty = PauliHamiltonian(2, ())
+        empty = PauliHamiltonian.from_terms(2, ())
         assert g.expectations(empty).shape == (0,)
         assert g.energy(empty) == 0.0
 
@@ -352,6 +351,74 @@ class TestToStatevector:
                 assert np.allclose(gen.apply(psi), psi, atol=1e-10)
 
 
+def reference_basis_state(group):
+    """The seed index by two separate eliminations: Gauss-Jordan over the X
+    block, then over the Z-only rows left below it.  It must equal the index
+    ``_compatible_basis_state`` reads off the reduced basis."""
+    n = group.n
+    rows = list(group.generators)
+    r = 0
+    for qubit in range(1, n + 1):
+        mask = 1 << (n - qubit)
+        hit = next((i for i in range(r, len(rows)) if rows[i].x_bits & mask), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i].x_bits & mask:
+                rows[i] = rows[i] * rows[r]
+        r += 1
+    solved = {}
+    for g in rows[r:]:
+        zmask, rhs = g.z_bits, g.phase_exp // 2
+        for pivot, (pz, prhs) in solved.items():
+            if (zmask >> pivot) & 1:
+                zmask ^= pz
+                rhs ^= prhs
+        assert zmask, "Z-only rows are independent"
+        pivot = zmask.bit_length() - 1
+        for other in list(solved):
+            oz, orhs = solved[other]
+            if (oz >> pivot) & 1:
+                solved[other] = (oz ^ zmask, orhs ^ rhs)
+        solved[pivot] = (zmask, rhs)
+    return sum(1 << pivot for pivot, (_, rhs) in solved.items() if rhs)
+
+
+def reference_statevector(group):
+    """``to_statevector`` seeded by ``reference_basis_state``."""
+    vec = np.zeros(1 << group.n, dtype=complex)
+    vec[reference_basis_state(group)] = 1.0
+    for g in group.generators:
+        vec = (vec + g.apply(vec)) / 2.0
+    return canonical_phase(vec / np.linalg.norm(vec))
+
+
+def assert_seed_matches_reference(group):
+    assert group._compatible_basis_state() == reference_basis_state(group)
+    if group.n <= 12:
+        assert group.to_statevector().tobytes() == reference_statevector(group).tobytes()
+
+
+class TestSeedFromReducedBasis:
+    @given(conjugated_graph_states())
+    def test_matches_reference_on_random_groups(self, group):
+        assert_seed_matches_reference(group)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_on_lmg_candidates(self, n):
+        for chi in (-1.0, 0.0, 0.5, 1.0):
+            params = LmgParams(n, 1.0, chi)
+            for cand in candidate_groups(build_lmg(params), params):
+                assert_seed_matches_reference(cand.group)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 100])
+    def test_matches_reference_across_words(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(3):
+            assert_seed_matches_reference(random_group(rng, n, depth=6 * n))
+
+
 class TestGraphState:
     def test_prepare_single_edge(self):
         adj = np.array([[0, 1], [1, 0]])
@@ -395,13 +462,6 @@ class TestGraphState:
                 g = random_group(rng, n)
                 form = g.to_graph_state()
                 assert np.allclose(form.to_statevector(), g.to_statevector(), atol=1e-10)
-
-    def test_generator_matrix_view(self):
-        g = pair_group_xx(3)
-        gm = GeneratorMatrix.from_generators(g.generators, 3)
-        assert np.array_equal(gm.x, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
-        assert np.array_equal(gm.z, [[0, 0, 0], [0, 0, 0], [1, 1, 1]])
-        assert list(gm.signs) == [1, 1, -1]
 
 
 class TestHadamardColumnExchange:
