@@ -181,8 +181,8 @@ class AdaptConfig:
     def __post_init__(self):
         if self.max_layers < 1:
             raise ValueError("max_layers must be positive")
-        if self.grad_threshold <= 0 or self.vqe_tol <= 0:
-            raise ValueError("thresholds must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.grad_threshold, self.vqe_tol)):
+            raise ValueError("thresholds must be finite and positive")
         if self.reference not in ("s1", "s2"):
             raise ValueError("reference must be 's1' or 's2'")
 

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .lmg import (
     split_around,
 )
 from .metrics import SRE_QUBIT_LIMIT, n_tangle_dicke, one_spin_entropy_dicke, sre
-from .pauli import PauliHamiltonian
 from .tableau import STATEVECTOR_QUBIT_LIMIT
 
 COLUMNS = (
@@ -278,6 +278,8 @@ def run_sweep(args: argparse.Namespace, cfg: dict[str, str]) -> int:
     else:
         # Finite nonnegative bounds give finite nonnegative grid points.
         _check_vbar((opt["vbar_min"], opt["vbar_max"]))
+        if opt["vbar_points"] < 1:
+            raise UsageError("vbar-points must be >= 1")
         if opt["linear"]:
             vbars = list(np.linspace(opt["vbar_min"], opt["vbar_max"], opt["vbar_points"]))
         else:
@@ -334,14 +336,6 @@ def run_sweep(args: argparse.Namespace, cfg: dict[str, str]) -> int:
 # -- decompose / prepare -----------------------------------------------------
 
 
-def _family_split(h: PauliHamiltonian, params: LmgParams, family: str) -> HamiltonianSplit:
-    """Split around the best candidate group of one requested family."""
-    matching = [c for c in candidate_groups(h, params) if c.family == family]
-    if not matching:
-        raise UsageError(f"no candidate groups in family {family!r}")
-    return split_around(h, params, min(matching, key=lambda c: c.energy))
-
-
 def _circuit_text(gates) -> str:
     return "; ".join(f"{g.name} {' '.join(str(q) for q in g.qubits)}" for g in gates)
 
@@ -392,7 +386,8 @@ def run_prepare(args: argparse.Namespace, cfg: dict[str, str]) -> int:
     if opt["family"] is None:
         split = select_split(h, params)
     elif opt["family"] in ("s1", "s2"):
-        split = _family_split(h, params, opt["family"])
+        candidates = {c.family: c for c in candidate_groups(h, params)}
+        split = split_around(h, params, candidates[opt["family"]])
     else:
         raise UsageError("family must be s1 or s2")
     lines = _split_report(split)
@@ -430,18 +425,17 @@ def run_qitp(args: argparse.Namespace, cfg: dict[str, str]) -> int:
     n = params.n
     if n > QITP_QUBIT_LIMIT:
         raise UsageError(f"qitp needs n <= {QITP_QUBIT_LIMIT}")
-    if opt["tau_points"] < 1 or opt["tau_max"] < 0:
-        raise UsageError("need tau-max >= 0 and tau-points >= 1")
+    if opt["tau_points"] < 1 or not 0 <= opt["tau_max"] < math.inf:
+        raise UsageError("need finite tau-max >= 0 and tau-points >= 1")
+    if opt["e0"] is not None and not math.isfinite(opt["e0"]):
+        raise UsageError("e0 must be finite")
     h = build_lmg(params)
     dense = h.dense_real()
     eig = np.linalg.eigh(dense)
     _, exact_vec = dense_ground_state(params)
-    split = select_split(h, params)
-    e0 = opt["e0"] if opt["e0"] is not None else split.stab_energy
-    initials = {
-        "s1": _family_split(h, params, "s1").group.to_statevector(),
-        "s2": _family_split(h, params, "s2").group.to_statevector(),
-    }
+    candidates = candidate_groups(h, params)
+    e0 = opt["e0"] if opt["e0"] is not None else select_candidate(h, params, candidates).energy
+    initials = {c.family: c.group.to_statevector() for c in candidates if c.family != "s3"}
     rows = []
     for tau in np.linspace(0.0, opt["tau_max"], opt["tau_points"]):
         cells = [_fmt(float(tau))]
@@ -470,10 +464,10 @@ _ADAPT_TABLE = {
     "n": (int, 8),
     "chi": (float, -1.0),
     "vbar": (float, 1.0),
-    "reference": (str, None),
-    "max_layers": (int, None),
-    "grad_threshold": (float, None),
-    "vqe_tol": (float, None),
+    "reference": (str, AdaptConfig.reference),
+    "max_layers": (int, AdaptConfig.max_layers),
+    "grad_threshold": (float, AdaptConfig.grad_threshold),
+    "vqe_tol": (float, AdaptConfig.vqe_tol),
     "out": (str, None),
     "json": (str, None),
     "seed": (int, None),
@@ -485,20 +479,13 @@ def run_adapt_cmd(args: argparse.Namespace, cfg: dict[str, str]) -> int:
     params = _point_params(opt)
     if params.n > ADAPT_QUBIT_LIMIT:
         raise UsageError(f"adapt needs n <= {ADAPT_QUBIT_LIMIT}")
-    base = AdaptConfig()
     try:
-        config = AdaptConfig(
-            max_layers=opt["max_layers"] if opt["max_layers"] is not None else base.max_layers,
-            grad_threshold=(
-                opt["grad_threshold"] if opt["grad_threshold"] is not None else base.grad_threshold
-            ),
-            vqe_tol=opt["vqe_tol"] if opt["vqe_tol"] is not None else base.vqe_tol,
-            reference=opt["reference"] if opt["reference"] is not None else base.reference,
-        )
+        config = AdaptConfig(**{f.name: opt[f.name] for f in fields(AdaptConfig)})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     h = build_lmg(params)
-    reference = _family_split(h, params, config.reference).group.to_statevector()
+    candidates = {c.family: c for c in candidate_groups(h, params)}
+    reference = candidates[config.reference].group.to_statevector()
     trace = run_adapt(h, reference, config)
     rows = [
         (

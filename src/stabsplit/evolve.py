@@ -5,8 +5,10 @@ exact imaginary-time evolution, the measurement-based projection pair (A, Q)
 embedded in a block unitary on one ancilla, variational exp(-theta Jz)
 reweighting (with an optional second-order Jz^2 factor), and a deformed
 mean-field rotation exp(-i alpha Jy) with parity projection.  Collective
-states evolve in the Dicke basis where all of these are diagonal or
-tridiagonal, so system sizes up to 30 spins stay cheap.
+states live in the (N + 1)-dimensional Dicke basis, where Jz is diagonal and
+H is tridiagonal within one parity sector, so their cost grows polynomially
+in N rather than as 2^N.  The projection pair built from a
+``PauliHamiltonian`` is dense and guarded at n <= ``QITP_QUBIT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def _projection_matrices(h, tau: float, e0_bar: float, eig, scales) -> list[np.n
     evals, evecs = _eigensystem(h, eig)
     shifted = evals - e0_bar
     return [
-        (evecs * np.exp(-0.5 * np.logaddexp(0.0, scale * shifted * tau))) @ evecs.conj().T
+        (evecs * np.exp(-0.5 * np.logaddexp(0.0, scale * (shifted * tau)))) @ evecs.conj().T
         for scale in scales
     ]
 

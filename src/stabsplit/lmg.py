@@ -7,14 +7,15 @@ The model on N spins, with pair couplings uniformly rescaled by 1/(N - 1):
 Spin up maps to |0> and spin down to |1>, so the vbar = 0 ground state is
 |1...1>.  Three stabilizer families compete for the lowest stabilizer energy:
 the product family (single-qubit Z generators), the X-pair family, and the
-Y-pair family, the latter two completed by the parity string Z_1..Z_N.
+Y-pair family, the latter two completed by the parity string Z_1..Z_N.  The
+energy-optimal group of each family is known in closed form at every N, so
+each family contributes exactly one candidate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -25,10 +26,6 @@ from .tableau import (
     apply_circuit,
     prepare_graph_state,
 )
-
-# Families are enumerated exhaustively over generator signs up to this size;
-# beyond it the known optimal sign patterns are used directly.
-EXHAUSTIVE_SIGN_LIMIT = 6
 
 _ROUTE_TOL = 1e-12
 
@@ -143,32 +140,25 @@ def _optimal_pair_signs(n: int, chi: float) -> tuple[int, ...]:
 
 
 def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidate]:
-    """Candidate stabilizer groups of the three families with their energies.
+    """The energy-optimal group of each family with its energy, in family order.
 
-    Sign assignments are enumerated exhaustively for n <= 6; larger systems
-    evaluate only the known optimal assignment of each family.  For n = 2 the
-    Y-pair family duplicates the X-pair groups and is skipped.
+    The product family puts every spin down, the X-pair family makes every
+    X_i X_n positive, and the Y-pair family takes ``_optimal_pair_signs``.
+    For n = 2 the Y-pair family duplicates the X-pair groups and is skipped.
+    There Z1Z2 is in the X-pair group and Y1Y2 = -X1X2 Z1Z2, so the
+    completion is -Z1Z2 exactly when the Y1Y2 coefficient is negative.
     """
     n = params.n
-    out: list[LmgCandidate] = []
-
-    def add(family: str, group: StabilizerGroup):
-        out.append(LmgCandidate(family, group, group.energy(h)))
-
-    if n <= EXHAUSTIVE_SIGN_LIMIT:
-        for signs in product((1, -1), repeat=n):
-            add("s1", product_family_group(n, signs))
-        for signs in product((1, -1), repeat=n - 1):
-            for comp_sign in (1, -1):
-                comp = parity_string(n) if comp_sign > 0 else parity_string(n).negate()
-                add("s2", pair_family_group(n, "X", signs, comp))
-                if n > 2:
-                    add("s3", pair_family_group(n, "Y", signs, comp))
-    else:
-        add("s1", product_family_group(n, (-1,) * n))
-        add("s2", pair_family_group(n, "X", (1,) * (n - 1)))
-        add("s3", pair_family_group(n, "Y", _optimal_pair_signs(n, params.chi)))
-    return out
+    completion = None
+    if n == 2 and params.chi > 0 and params.vbar > 0:
+        completion = parity_string(2).negate()
+    groups = [
+        ("s1", product_family_group(n, (-1,) * n)),
+        ("s2", pair_family_group(n, "X", (1,) * (n - 1), completion)),
+    ]
+    if n > 2:
+        groups.append(("s3", pair_family_group(n, "Y", _optimal_pair_signs(n, params.chi))))
+    return [LmgCandidate(family, group, group.energy(h)) for family, group in groups]
 
 
 def best_family_energy(candidates, family: str) -> float:
@@ -193,16 +183,14 @@ def symmetry_breaking_energy(h: PauliHamiltonian, params: LmgParams) -> float:
     return StabilizerGroup(n, tuple(gens)).energy(h)
 
 
-_FAMILY_ORDER = {"s1": 0, "s2": 1, "s3": 2}
-
-
 def select_candidate(
     h: PauliHamiltonian, params: LmgParams, candidates: list[LmgCandidate]
 ) -> LmgCandidate:
     """The lowest-energy candidate among ``candidates`` (from ``candidate_groups``).
 
     Candidates within 1e-12 relative energy count as tied and resolve toward
-    the earlier family (product family first, then the X-pair family).  The
+    the earlier one; ``candidate_groups`` lists the families in order, so the
+    product family wins a tie, then the X-pair family.  The
     tolerance keeps the selection transition exact: at the degenerate
     coupling the pair energy sums n(n-1)/2 copies of vbar/(2(n-1)), whose
     rounding (well under 1e-13 relative) must not pick the winner, while a
@@ -213,11 +201,7 @@ def select_candidate(
     """
     floor = min(c.energy for c in candidates)
     tol = 1e-12 * max(1.0, abs(floor))
-    best = min(
-        (i for i in range(len(candidates)) if candidates[i].energy <= floor + tol),
-        key=lambda i: (_FAMILY_ORDER[candidates[i].family], i),
-    )
-    chosen = candidates[best]
+    chosen = next(c for c in candidates if c.energy <= floor + tol)
     if params.n >= 3:
         guard = symmetry_breaking_energy(h, params)
         if guard < chosen.energy - 1e-9:
@@ -285,8 +269,8 @@ def preparation_circuit(split: HamiltonianSplit) -> list[CliffordGate]:
 def _odd_parity(group: StabilizerGroup) -> bool:
     """Whether the group's state has Z_1..Z_n expectation -1.
 
-    True for the default parity completion exactly when n is odd; at n = 2 the
-    sign search can also pick the negated completion.
+    True for the default parity completion exactly when n is odd; at n = 2
+    ``candidate_groups`` can also pick the negated completion.
     """
     return group.expectation(parity_string(group.n).unsigned()) == -1
 

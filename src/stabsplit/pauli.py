@@ -361,14 +361,9 @@ class PauliHamiltonian:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if len(vec) != 1 << self.n:
             raise ValueError("statevector length mismatch")
-        idx = _indices(self.n)
         out = np.zeros(len(vec), dtype=complex)
         for coeff, x, z in zip(self.coeffs.tolist(), _unpack(self.x), _unpack(self.z)):
-            factor = 1j ** ((x & z).bit_count() % 4)
-            signed = vec * _sign_vector(z, self.n)
-            if x:
-                signed = signed[idx ^ x]
-            out += coeff * (factor * signed)
+            out += coeff * PauliString(self.n, x, z).apply(vec)
         return out
 
     def expectation(self, vec: np.ndarray) -> float:

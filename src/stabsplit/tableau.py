@@ -411,15 +411,6 @@ class GraphStateForm:
     adjacency: np.ndarray
     local_cliffords: tuple[str, ...]
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.adjacency[i, j]
-        ]
-
     def to_statevector(self) -> np.ndarray:
         vec = prepare_graph_state(self.adjacency)
         for qubit, label in enumerate(self.local_cliffords, start=1):

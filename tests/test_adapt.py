@@ -314,6 +314,13 @@ class TestRunAdapt:
         with pytest.raises(ValueError):
             AdaptConfig(reference="s3")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_thresholds_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            AdaptConfig(grad_threshold=value)
+        with pytest.raises(ValueError, match="finite"):
+            AdaptConfig(vqe_tol=value)
+
     def test_iteration_cap_raises_with_partial_trace(self, monkeypatch):
         monkeypatch.setattr(adapt_module, "_BFGS_ITERS_PER_ANGLE", 1)
         h = build_lmg(LmgParams(8, 5.0))

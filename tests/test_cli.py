@@ -14,6 +14,7 @@ from stabsplit.cli import ADAPT_COLUMNS, COLUMNS, QITP_COLUMNS, main
 from stabsplit.lmg import LmgParams, build_lmg, select_split
 from stabsplit.pauli import PauliHamiltonian
 from stabsplit.tableau import CliffordGate, apply_circuit
+from test_lmg import reference_candidates
 
 
 def run_cli(capsys, argv):
@@ -237,10 +238,12 @@ class TestSweepEnergyPass:
 
     @pytest.mark.parametrize("chi", [-1.0, 0.0, 0.5])
     def test_split_parts_match_tuple_filter(self, chi):
+        # Every sign pattern of each family up to n = 6, the optimal groups above.
         for n in range(3, 13):
             params = LmgParams(n, 3.0, chi)
             h = build_lmg(params)
-            for cand in lmg.candidate_groups(h, params):
+            candidates = reference_candidates if n <= 6 else lmg.candidate_groups
+            for cand in candidates(h, params):
                 split = lmg.split_around(h, params, cand)
                 keep = [cand.group.expectation(s) != 0 for _, s in h.terms]
                 stab = tuple(t for t, k in zip(h.terms, keep) if k)
@@ -248,6 +251,23 @@ class TestSweepEnergyPass:
                 assert split.stab_part.n == split.magic_part.n == n
                 assert split.stab_part.terms == stab, (n, cand.family)
                 assert split.magic_part.terms == magic, (n, cand.family)
+
+
+def count_calls(monkeypatch, names):
+    """Count calls to each named function of ``lmg``, also through ``cli``."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cli, lmg):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
 
 class TestDecompose:
@@ -378,6 +398,12 @@ class TestQitp:
         code, _, _ = run_cli(capsys, ["qitp", "--n", "11", "--vbar", "1"])
         assert code == 2
 
+    def test_one_candidate_pass(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, ("candidate_groups", "split_around"))
+        code, _, _ = run_cli(capsys, ["qitp", "--n", "4", "--vbar", "5", "--tau-points", "2"])
+        assert code == 0
+        assert calls == {"candidate_groups": 1, "split_around": 0}
+
 
 class TestAdaptCommand:
     def test_three_spin_trace(self, capsys):
@@ -436,6 +462,30 @@ class TestNonFiniteCoupling:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+
+class TestNumericFlags:
+    """Non-finite or out-of-range numbers are usage errors, not NaN rows."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qitp", "--n", "4", "--e0", "nan"],
+            ["qitp", "--n", "4", "--e0", "inf"],
+            ["qitp", "--n", "4", "--tau-max", "nan"],
+            ["qitp", "--n", "4", "--tau-max", "inf"],
+            ["adapt", "--n", "3", "--vqe-tol", "nan"],
+            ["adapt", "--n", "3", "--grad-threshold", "nan"],
+            ["adapt", "--n", "3", "--grad-threshold", "inf"],
+            ["sweep", "--n", "4", "--jobs", "1", "--vbar-points", "0"],
+            ["sweep", "--n", "4", "--jobs", "1", "--vbar-points", "-2"],
+        ],
+    )
+    def test_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestEntryPoints:

@@ -205,6 +205,20 @@ class TestQitpOperators:
         with pytest.raises(ResourceLimitError):
             qitp_operators(build_lmg(LmgParams(11, 1.0)), 1.0, 0.0)
 
+    def test_huge_shift_stays_finite(self):
+        # scale * (H - e0) alone overflows for e0 = 1e308; times tau = 0 it
+        # must still give the uniform split.
+        h = build_lmg(LmgParams(3, 2.0))
+        a_mat, q_mat = qitp_operators(h, 0.0, 1e308)
+        expect = np.eye(8) / np.sqrt(2.0)
+        assert np.allclose(a_mat, expect, atol=1e-12)
+        assert np.allclose(q_mat, expect, atol=1e-12)
+        # At large tau (H - e0) tau overflows to -inf, which saturates A and Q.
+        with np.errstate(over="ignore"):
+            a_mat, q_mat = qitp_operators(h, 5.0, 1e308)
+        assert np.array_equal(a_mat, np.zeros((8, 8)))
+        assert np.allclose(q_mat, np.eye(8), atol=1e-12)
+
 
 class TestQitpPostselect:
     def test_zero_time_returns_initial_at_half_probability(self):

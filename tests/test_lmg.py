@@ -1,9 +1,13 @@
 """Model construction, family energies, selection, and preparation tests."""
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 import pytest
 
 from stabsplit.lmg import (
+    LmgCandidate,
     LmgParams,
     build_lmg,
     best_family_energy,
@@ -13,6 +17,7 @@ from stabsplit.lmg import (
     preparation_circuit,
     prepare_stab_state,
     product_family_group,
+    select_candidate,
     select_split,
     split_around,
     symmetry_breaking_energy,
@@ -103,11 +108,77 @@ class TestPackedBuild:
             h.z[0, 0] = 1
 
 
+@lru_cache(maxsize=None)
+def _reference_groups(n):
+    """(family, group) for every generator sign pattern of each family."""
+    groups = [("s1", product_family_group(n, signs)) for signs in product((1, -1), repeat=n)]
+    for signs in product((1, -1), repeat=n - 1):
+        for completion in (parity_string(n), parity_string(n).negate()):
+            groups.append(("s2", pair_family_group(n, "X", signs, completion)))
+            if n > 2:
+                groups.append(("s3", pair_family_group(n, "Y", signs, completion)))
+    return tuple(groups)
+
+
+def reference_candidates(h, params):
+    """The exhaustive sign search: every sign pattern of each family, with
+    its energy, in enumeration order (the product family's signs, then the
+    pair signs with both parity completions).  ``candidate_groups`` must
+    return the first minimum of each family."""
+    return [
+        LmgCandidate(family, group, group.energy(h))
+        for family, group in _reference_groups(params.n)
+    ]
+
+
+REFERENCE_CHIS = (-1.0, -0.5, -0.1, -0.0, 0.0, 0.1, 0.5, 1.0)
+REFERENCE_VBARS = (0.0, 0.1, 1 - 1e-9, 1.0, 1 + 1e-9, 2 - 1e-9, 2.0, 2 + 1e-9, 5.0, 100.0)
+
+
+class TestClosedFormCandidates:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_match_sign_search(self, n):
+        # The search scores 2^n to 4 * 2^(n-1) groups per point, so n = 7
+        # and 8 (past the old search limit of 6) use a coarser grid.
+        chis = REFERENCE_CHIS if n <= 6 else (-1.0, -0.0, 0.5)
+        vbars = REFERENCE_VBARS if n <= 6 else (0.0, 2 - 1e-9, 2.0, 2 + 1e-9, 100.0)
+        for chi in chis:
+            for vbar in vbars:
+                params = LmgParams(n, vbar, chi)
+                h = build_lmg(params)
+                got = candidate_groups(h, params)
+                ref = reference_candidates(h, params)
+                for cand in got:
+                    first_min = min(
+                        (c for c in ref if c.family == cand.family), key=lambda c: c.energy
+                    )
+                    if cand.family == "s3":
+                        # Another sign pattern with the same exact energy may
+                        # round lower; s3 never wins the selection.
+                        assert cand.energy == pytest.approx(first_min.energy, rel=1e-12)
+                    else:
+                        assert cand.energy == first_min.energy, (chi, vbar, cand.family)
+                        assert cand.group == first_min.group, (chi, vbar, cand.family)
+                chosen = select_candidate(h, params, got)
+                want = select_candidate(h, params, ref)
+                assert chosen.family == want.family, (chi, vbar)
+                assert chosen.group.generators == want.group.generators, (chi, vbar)
+                assert chosen.energy.hex() == want.energy.hex(), (chi, vbar)
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 63, 64, 65])
+    def test_one_candidate_per_family_in_order(self, n):
+        for chi in (-1.0, 0.0, 0.5):
+            for vbar in (0.0, 2.0, 5.0):
+                params = LmgParams(n, vbar, chi)
+                families = [c.family for c in candidate_groups(build_lmg(params), params)]
+                assert families == (["s1", "s2"] if n == 2 else ["s1", "s2", "s3"])
+
+
 class TestCandidateEnergies:
     def test_two_spin_sign_enumeration(self):
         vbar = 1.7
         h = build_lmg(LmgParams(2, vbar, -1.0))
-        cands = candidate_groups(h, LmgParams(2, vbar, -1.0))
+        cands = reference_candidates(h, LmgParams(2, vbar, -1.0))
         s1 = sorted(c.energy for c in cands if c.family == "s1")
         s2 = sorted(c.energy for c in cands if c.family == "s2")
         assert s1 == pytest.approx([-1.0, 0.0, 0.0, 1.0])
@@ -144,7 +215,7 @@ class TestCandidateEnergies:
             params = LmgParams(n, float(rng.uniform(0.2, 6.0)), -1.0)
             h = build_lmg(params)
             hd = h.dense()
-            for cand in candidate_groups(h, params)[::7]:
+            for cand in reference_candidates(h, params)[::7]:
                 psi = cand.group.to_statevector()
                 assert cand.energy == pytest.approx(np.vdot(psi, hd @ psi).real, abs=1e-10)
 
