@@ -83,16 +83,31 @@ class PoolOperator:
         par = sel ^ ((1 << bit_i) | (1 << bit_j))
         return sel, par
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # touched = [sel, par] and partner = [par, sel]. A layer rewrites the
+        # touched amplitudes as c * psi[touched] + (s * rot) * psi[partner],
+        # with rot = +sign on sel and -sign on par, and R psi = gen *
+        # psi[partner] there. (-s) * a is -(s * a) and x - y is x + (-y) in
+        # IEEE arithmetic, so this is bit for bit the c*a +- s*b pair update.
+        sel, par = self._indices
+        touched = np.concatenate((sel, par))
+        partner = np.concatenate((par, sel))
+        rot = np.repeat([float(self.sign), -float(self.sign)], len(sel))
+        return touched, partner, rot, -2.0 * rot
+
+    def _rotate(self, out: np.ndarray, src: np.ndarray, theta: float) -> None:
+        """Write exp(i theta T) src into out at the touched entries (rows of a
+        matrix); the rest of out is left alone, and out may be src."""
+        touched, partner, rot, _ = self._tables
+        s_rot = _along_rows(math.sin(2.0 * theta) * rot, src)
+        out[touched] = math.cos(2.0 * theta) * src[touched] + s_rot * src[partner]
+
     def generator_action(self, state: np.ndarray) -> np.ndarray:
         """R|psi> with R = -iT, a real antisymmetric matrix."""
-        sel, par = self._indices
-        out = np.zeros_like(state)
-        if self.sign > 0:
-            out[sel] = -2.0 * state[par]
-            out[par] = 2.0 * state[sel]
-        else:
-            out[sel] = 2.0 * state[par]
-            out[par] = -2.0 * state[sel]
+        touched, partner, _, gen = self._tables
+        out = np.zeros(state.shape, state.dtype)
+        out[touched] = _along_rows(gen, state) * state[partner]
         return out
 
     def rotated(self, state: np.ndarray, theta: float) -> np.ndarray:
@@ -100,18 +115,8 @@ class PoolOperator:
 
         Works on vectors and on matrices (each column rotates).
         """
-        sel, par = self._indices
-        c = math.cos(2.0 * theta)
-        s = math.sin(2.0 * theta)
         out = np.array(state, copy=True)
-        a = state[sel]
-        b = state[par]
-        if self.sign > 0:
-            out[sel] = c * a + s * b
-            out[par] = c * b - s * a
-        else:
-            out[sel] = c * a - s * b
-            out[par] = c * b + s * a
+        self._rotate(out, state, theta)
         return out
 
     def conjugate_inplace(self, mat: np.ndarray, theta: float) -> None:
@@ -131,6 +136,11 @@ class PoolOperator:
         cols_b = mat[:, par].copy()
         mat[:, sel] = c * cols_a - s * cols_b
         mat[:, par] = s * cols_a + c * cols_b
+
+
+def _along_rows(coef: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """coef shaped to scale the rows of like (one entry per row)."""
+    return coef if like.ndim == 1 else coef.reshape((-1,) + (1,) * (like.ndim - 1))
 
 
 def pool(n: int) -> list[PoolOperator]:
@@ -273,24 +283,50 @@ def _select(dense: np.ndarray, state: np.ndarray, ops) -> tuple[int, float]:
     return best_idx, best_val
 
 
+def _forward(reference, chosen, angles) -> np.ndarray:
+    """Rows psi_0 = reference and psi_l = K_l(theta_l) psi_{l-1}."""
+    states = np.empty((len(chosen) + 1, len(reference)), np.result_type(reference, 1.0))
+    states[0] = reference
+    for level, (op, theta) in enumerate(zip(chosen, angles)):
+        states[level + 1] = states[level]
+        op._rotate(states[level + 1], states[level], theta)
+    return states
+
+
+def _energy(dense, states) -> tuple[float, np.ndarray]:
+    """<psi_L|H|psi_L> and H psi_L, the start of the backward pass."""
+    lam = dense @ states[-1]
+    return float(states[-1] @ lam), lam
+
+
+def _backward(lam, states, chosen, angles) -> np.ndarray:
+    """dE/dtheta_l = -2 lam_l . R_l psi_l, carrying lam back in place.
+
+    Each derivative is a full-length dot against R_l psi_l, which is zero
+    off the touched entries: a dot over the touched entries alone would sum
+    in another order and change the last bits.
+    """
+    grad = np.empty(len(chosen))
+    for level in reversed(range(len(chosen))):
+        op = chosen[level]
+        grad[level] = -2.0 * float(lam @ op.generator_action(states[level + 1]))
+        op._rotate(lam, lam, -angles[level])
+    return grad
+
+
 def _energy_and_gradient(dense, reference, chosen, angles) -> tuple[float, np.ndarray]:
     """Energy and all angle derivatives from one forward and one backward pass.
 
     The forward pass keeps the states psi_l after each layer. The backward
     pass carries lam_l = K_{l+1}^T ... K_L^T H psi_L, which gives
-    dE/dtheta_l = -2 lam_l . R_l psi_l for every layer in O(L 2^n).
+    dE/dtheta_l = -2 lam_l . R_l psi_l for every layer in O(L 2^n). Both
+    passes do the same floating-point operations as PoolOperator.rotated
+    and generator_action, so the results are bit-identical to composing
+    those calls.
     """
-    states = [reference]
-    for op, theta in zip(chosen, angles):
-        states.append(op.rotated(states[-1], theta))
-    lam = dense @ states[-1]
-    energy = float(states[-1] @ lam)
-    grad = np.empty(len(chosen))
-    for level in reversed(range(len(chosen))):
-        op = chosen[level]
-        grad[level] = -2.0 * float(lam @ op.generator_action(states[level + 1]))
-        lam = op.rotated(lam, -angles[level])
-    return energy, grad
+    states = _forward(reference, chosen, angles)
+    energy, lam = _energy(dense, states)
+    return energy, _backward(lam, states, chosen, angles)
 
 
 # BFGS iterations allowed per angle. Growth at n = 8, vbar = 5 to 110 layers
@@ -307,6 +343,11 @@ def _reoptimize(dense, reference, chosen, angles, vqe_tol: float) -> float:
     no step lowers it at all. Every accepted step lowers the energy, so the
     result never lies above the starting point. Raises AdaptError at the
     iteration cap.
+
+    A line-search trial runs the forward pass and the energy only; the
+    backward pass runs once at the start and once per accepted step, never
+    for a rejected trial. The gradients that are computed are the same bits
+    as _energy_and_gradient's.
     """
     x = np.array(angles, dtype=float)
     energy, grad = _energy_and_gradient(dense, reference, chosen, x)
@@ -322,8 +363,10 @@ def _reoptimize(dense, reference, chosen, angles, vqe_tol: float) -> float:
         step = 1.0
         while step >= 1e-10:
             trial = x + step * direction
-            trial_energy, trial_grad = _energy_and_gradient(dense, reference, chosen, trial)
+            states = _forward(reference, chosen, trial)
+            trial_energy, lam = _energy(dense, states)
             if trial_energy <= energy + 1e-4 * step * slope:
+                trial_grad = _backward(lam, states, chosen, trial)
                 break
             step *= 0.5
         else:

@@ -19,7 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .adapt import ADAPT_QUBIT_LIMIT, AdaptConfig, run_adapt
+from .adapt import ADAPT_QUBIT_LIMIT, AdaptConfig, AdaptError, AdaptTrace, run_adapt
 from .evolve import QITP_QUBIT_LIMIT, qitp_postselect, variational_jz, deformed_hf, parity_project
 from .exact import (
     dense_ground_state,
@@ -486,7 +486,18 @@ def run_adapt_cmd(args: argparse.Namespace, cfg: dict[str, str]) -> int:
     h = build_lmg(params)
     candidates = {c.family: c for c in candidate_groups(h, params)}
     reference = candidates[config.reference].group.to_statevector()
-    trace = run_adapt(h, reference, config)
+    try:
+        trace = run_adapt(h, reference, config)
+    except AdaptError as err:
+        # Keep the layers recorded before the failure; main reports the error.
+        if err.trace is not None:
+            _emit_adapt_rows(err.trace, opt)
+        raise
+    _emit_adapt_rows(trace, opt)
+    return 0
+
+
+def _emit_adapt_rows(trace: AdaptTrace, opt: dict) -> None:
     rows = [
         (
             str(record.layer),
@@ -501,7 +512,6 @@ def run_adapt_cmd(args: argparse.Namespace, cfg: dict[str, str]) -> int:
     _emit(_csv_text(ADAPT_COLUMNS, rows), opt["out"])
     if opt["json"] is not None:
         _emit(_json_text(ADAPT_COLUMNS, rows), opt["json"])
-    return 0
 
 
 # -- parser ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Adaptive-ansatz tests: pool structure, kernels, gradients, growth runs."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -337,3 +339,243 @@ class TestRunAdapt:
         err = AdaptError("stalled", AdaptTrace(exact_energy=-1.0))
         assert isinstance(err, RuntimeError)
         assert err.trace.exact_energy == -1.0
+
+
+# The fancy-index kernels and loops that preceded the table-driven kernel,
+# kept as bit-identity references.
+
+
+def reference_generator_action(op, state):
+    sel, par = op._indices
+    out = np.zeros_like(state)
+    if op.sign > 0:
+        out[sel] = -2.0 * state[par]
+        out[par] = 2.0 * state[sel]
+    else:
+        out[sel] = 2.0 * state[par]
+        out[par] = -2.0 * state[sel]
+    return out
+
+
+def reference_rotated(op, state, theta):
+    sel, par = op._indices
+    c = math.cos(2.0 * theta)
+    s = math.sin(2.0 * theta)
+    out = np.array(state, copy=True)
+    a = state[sel]
+    b = state[par]
+    if op.sign > 0:
+        out[sel] = c * a + s * b
+        out[par] = c * b - s * a
+    else:
+        out[sel] = c * a - s * b
+        out[par] = c * b + s * a
+    return out
+
+
+def reference_select(dense, state, ops):
+    h_psi = dense @ state
+    best_idx, best_val = 0, 0.0
+    for pos, op in enumerate(ops):
+        value = -2.0 * float(np.dot(reference_generator_action(op, state), h_psi))
+        if abs(value) > abs(best_val) + 1e-15:
+            best_idx, best_val = pos, value
+    return best_idx, best_val
+
+
+def reference_energy_and_gradient(dense, reference, chosen, angles):
+    states = [reference]
+    for op, theta in zip(chosen, angles):
+        states.append(reference_rotated(op, states[-1], theta))
+    lam = dense @ states[-1]
+    energy = float(states[-1] @ lam)
+    grad = np.empty(len(chosen))
+    for level in reversed(range(len(chosen))):
+        op = chosen[level]
+        grad[level] = -2.0 * float(lam @ reference_generator_action(op, states[level + 1]))
+        lam = reference_rotated(op, lam, -angles[level])
+    return energy, grad
+
+
+def reference_reoptimize(dense, reference, chosen, angles, vqe_tol):
+    """The BFGS loop with a gradient at every trial; returns the energy and
+    the numbers of accepted and rejected line-search trials."""
+    accepted = rejected = 0
+    x = np.array(angles, dtype=float)
+    energy, grad = reference_energy_and_gradient(dense, reference, chosen, x)
+    inv_hess = np.eye(len(x))
+    for iteration in range(adapt_module._BFGS_ITERS_PER_ANGLE * len(x)):
+        direction = -inv_hess @ grad
+        slope = float(grad @ direction)
+        if not slope < 0.0:
+            break
+        step = 1.0
+        while step >= 1e-10:
+            trial = x + step * direction
+            trial_energy, trial_grad = reference_energy_and_gradient(
+                dense, reference, chosen, trial
+            )
+            if trial_energy <= energy + 1e-4 * step * slope:
+                accepted += 1
+                break
+            rejected += 1
+            step *= 0.5
+        else:
+            break
+        s_vec = trial - x
+        y_vec = trial_grad - grad
+        drop = energy - trial_energy
+        x, energy, grad = trial, trial_energy, trial_grad
+        if drop < vqe_tol:
+            break
+        sy = float(s_vec @ y_vec)
+        if sy > 1e-16:
+            if iteration == 0:
+                inv_hess *= sy / float(y_vec @ y_vec)
+            h_y = inv_hess @ y_vec
+            inv_hess += (sy + float(y_vec @ h_y)) / sy**2 * np.outer(s_vec, s_vec)
+            inv_hess -= (np.outer(h_y, s_vec) + np.outer(s_vec, h_y)) / sy
+    angles[:] = x.tolist()
+    return energy, accepted, rejected
+
+
+SPECIAL_ANGLES = (0.0, -0.0, np.pi / 4, -np.pi / 4, np.pi, -np.pi)
+
+
+def random_angles(rng, size):
+    # Mostly uniform draws, with zero, +-pi/4 and +-pi mixed in.
+    angles = rng.uniform(-np.pi, np.pi, size=size)
+    special = rng.random(size) < 0.3
+    angles[special] = rng.choice(SPECIAL_ANGLES, size=int(special.sum()))
+    return angles
+
+
+def random_reference(rng, n):
+    # A random real unit vector, a pair state or the all-down state.
+    kind = rng.integers(3)
+    if kind == 0:
+        vec = rng.normal(size=1 << n)
+        return vec / np.linalg.norm(vec)
+    return pair_state(n).real if kind == 1 else all_down(n)
+
+
+def same_bits(first, second):
+    first, second = np.asarray(first), np.asarray(second)
+    return (
+        first.dtype == second.dtype
+        and np.array_equal(first, second, equal_nan=True)
+        and np.array_equal(np.signbit(first.real), np.signbit(second.real))
+        and np.array_equal(np.signbit(first.imag), np.signbit(second.imag))
+    )
+
+
+class TestTableKernel:
+    """The table-driven kernel does the reference's floating-point operations."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_energy_and_gradient_bits(self, n):
+        rng = np.random.default_rng(900 + n)
+        ops = pool(n)
+        for _ in range(45):
+            params = LmgParams(n, float(rng.uniform(0.0, 6.0)), float(rng.uniform(-1.0, 1.0)))
+            dense = build_lmg(params).dense_real()
+            reference = random_reference(rng, n)
+            layers = int(rng.integers(1, 41))
+            # Drawn with replacement, and the first operator repeated at the
+            # end, so operators recur within one ansatz.
+            chosen = [ops[int(k)] for k in rng.integers(len(ops), size=layers)]
+            chosen[-1] = chosen[0]
+            angles = random_angles(rng, layers)
+            energy, grad = _energy_and_gradient(dense, reference, chosen, angles)
+            ref_energy, ref_grad = reference_energy_and_gradient(dense, reference, chosen, angles)
+            assert energy == ref_energy
+            assert math.copysign(1.0, energy) == math.copysign(1.0, ref_energy)
+            assert same_bits(grad, ref_grad)
+
+    def test_results_do_not_depend_on_earlier_calls(self):
+        rng = np.random.default_rng(17)
+        dense = build_lmg(LmgParams(6, 3.0)).dense_real()
+        ops = pool(6)
+        draws = [
+            ([ops[int(k)] for k in rng.integers(len(ops), size=size)], random_angles(rng, size))
+            for size in (12, 3, 12)
+        ]
+        reference = pair_state(6).real
+        first = _energy_and_gradient(dense, reference, *draws[0])
+        _energy_and_gradient(dense, reference, *draws[1])
+        _energy_and_gradient(dense, all_down(6), *draws[2])
+        again = _energy_and_gradient(dense, reference, *draws[0])
+        assert first[0] == again[0] and same_bits(first[1], again[1])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_select_bits(self, n):
+        rng = np.random.default_rng(950 + n)
+        ops = pool(n)
+        dense = build_lmg(LmgParams(n, 5.0)).dense_real()
+        # The bare references tie many pool gradients exactly.
+        states = [pair_state(n).real, all_down(n)]
+        for _ in range(8):
+            layers = int(rng.integers(1, 41))
+            chosen = [ops[int(k)] for k in rng.integers(len(ops), size=layers)]
+            states.append(apply_ansatz(random_reference(rng, n), chosen, random_angles(rng, layers)))
+        for state in states:
+            index, value = adapt_module._select(dense, state, ops)
+            ref_index, ref_value = reference_select(dense, state, ops)
+            assert index == ref_index
+            assert value == ref_value and math.copysign(1.0, value) == math.copysign(1.0, ref_value)
+
+    def test_rotated_and_generator_action_bits(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 7):
+            dim = 1 << n
+            inputs = [
+                rng.normal(size=dim),
+                np.eye(dim),
+                rng.normal(size=(dim, 3)),
+                rng.normal(size=dim) + 1j * rng.normal(size=dim),
+                rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)),
+            ]
+            for op in pool(n):
+                for state in inputs:
+                    assert same_bits(op.generator_action(state), reference_generator_action(op, state))
+                    for theta in (*SPECIAL_ANGLES, float(rng.uniform(-np.pi, np.pi))):
+                        assert same_bits(op.rotated(state, theta), reference_rotated(op, state, theta))
+
+
+class TestLineSearchCalls:
+    def test_backward_pass_only_on_accepted_steps(self, monkeypatch):
+        # Replays every re-optimization of an N = 6 growth: one backward pass
+        # at the start and one per accepted step, a forward pass per trial,
+        # and the reference loop's angles and energy bit for bit.
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(adapt_module, "_forward", counted("forward", adapt_module._forward))
+        monkeypatch.setattr(adapt_module, "_backward", counted("backward", adapt_module._backward))
+        h = build_lmg(LmgParams(6, 5.0))
+        dense = h.dense_real()
+        reference = all_down(6)
+        trace = run_adapt(h, reference, AdaptConfig(max_layers=6))
+        label_map = {op.label: op for op in pool(6)}
+        chosen = []
+        total_rejected = 0
+        for before, record in zip(trace.layers, trace.layers[1:]):
+            chosen.append(label_map[record.label])
+            angles = list(before.angles) + [0.0]
+            ref_angles = list(angles)
+            ref_energy, accepted, rejected = reference_reoptimize(
+                dense, reference, chosen, ref_angles, 1e-12
+            )
+            calls.update(forward=0, backward=0)
+            energy = adapt_module._reoptimize(dense, reference, chosen, angles, 1e-12)
+            assert calls == {"forward": 1 + accepted + rejected, "backward": 1 + accepted}
+            assert energy == ref_energy == record.energy
+            assert angles == ref_angles == list(record.angles)
+            total_rejected += rejected
+        assert total_rejected > 0

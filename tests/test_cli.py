@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stabsplit.adapt as adapt_module
 import stabsplit.cli as cli
 import stabsplit.lmg as lmg
 from stabsplit.cli import ADAPT_COLUMNS, COLUMNS, QITP_COLUMNS, main
@@ -426,6 +427,24 @@ class TestAdaptCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[-1]["rel_energy_error"]) < 1e-10
+
+    def test_cap_failure_keeps_partial_trace(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(adapt_module, "_BFGS_ITERS_PER_ANGLE", 1)
+        argv = ["adapt", "--n", "6", "--vbar", "0.5", "--chi", "0", "--reference", "s1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == "error: AdaptError: angle re-optimization hit its cap of 1 BFGS iterations\n"
+        header, rows = parse_csv(out)
+        assert header == list(ADAPT_COLUMNS)
+        assert rows and [r["layer"] for r in rows] == [str(k) for k in range(len(rows))]
+        assert rows[0]["operator_label"] == "" and float(rows[0]["energy"]) == -3.0
+        csv_path, json_path = tmp_path / "trace.csv", tmp_path / "trace.json"
+        code, quiet, again = run_cli(
+            capsys, argv + ["--out", str(csv_path), "--json", str(json_path)]
+        )
+        assert (code, quiet, again) == (1, "", err)
+        assert csv_path.read_text() == out
+        assert json.loads(json_path.read_text()) == rows
 
     def test_guards(self, capsys):
         code, _, _ = run_cli(capsys, ["adapt", "--n", "11", "--vbar", "1"])
