@@ -113,9 +113,11 @@ class PoolOperator:
     def rotated(self, state: np.ndarray, theta: float) -> np.ndarray:
         """exp(i theta T) applied along the first axis of state.
 
-        Works on vectors and on matrices (each column rotates).
+        Works on vectors and on matrices (each column rotates); integer
+        input is promoted to float.
         """
-        out = np.array(state, copy=True)
+        state = np.asarray(state)
+        out = state.astype(np.result_type(state, float))
         self._rotate(out, state, theta)
         return out
 
@@ -226,8 +228,10 @@ class AdaptTrace:
 
 
 def apply_ansatz(reference: np.ndarray, operators, angles) -> np.ndarray:
-    """Layered state K_L(theta_L) ... K_1(theta_1)|reference>."""
-    state = np.array(reference, copy=True)
+    """Layered state K_L(theta_L) ... K_1(theta_1)|reference>; integer input
+    is promoted to float."""
+    state = np.asarray(reference)
+    state = state.astype(np.result_type(state, float))
     for op, theta in zip(operators, angles):
         state = op.rotated(state, theta)
     return state

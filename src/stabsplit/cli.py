@@ -22,6 +22,7 @@ import numpy as np
 from .adapt import ADAPT_QUBIT_LIMIT, AdaptConfig, AdaptError, AdaptTrace, run_adapt
 from .evolve import QITP_QUBIT_LIMIT, qitp_postselect, variational_jz, deformed_hf, parity_project
 from .exact import (
+    DickeVector,
     dense_ground_state,
     dicke_hamiltonian_full,
     fidelity,
@@ -34,6 +35,7 @@ from .lmg import (
     best_family_energy,
     build_lmg,
     candidate_groups,
+    negated_pair_completion,
     preparation_circuit,
     prepare_stab_state,
     select_candidate,
@@ -210,7 +212,12 @@ def _sweep_cells(n: int, chi: float, vbar: float, observables: frozenset) -> dic
         cells["E_s2"] = _fmt(best_family_energy(candidates, "s2"))
         cells["E_stab_sel"] = _fmt(select_candidate(h, params, candidates).energy)
     if observables & {"fidelities", "entropy", "tangles"}:
-        s2_state = stab_state_dicke_amplitudes(n, "s2")
+        # The s2 state is the X-pair candidate's: at n = 2 it can sit in the
+        # odd sector, (|01> + |10>)/sqrt(2) = |J = 1, M = 0>.
+        if negated_pair_completion(params):
+            s2_state = DickeVector(2, (1,), [1.0])
+        else:
+            s2_state = stab_state_dicke_amplitudes(n, "s2")
     if "fidelities" in observables:
         s1_state = stab_state_dicke_amplitudes(n, "s1")
         cells["fid_s1"] = _fmt(fidelity(s1_state, exact_state))

@@ -4,8 +4,10 @@ The Hamiltonian conserves total spin and spin-flip parity, and its ground
 state lives in the maximal J = N/2 multiplet, in the parity sector connected
 to M = -N/2 (all spins down, i.e. |1...1>).  States in that sector are held
 as real amplitude vectors over the spin-up counts k = 0, 2, 4, ..., giving
-O(N) scaling, while a dense 2^N diagonalization stays available as an
-independent cross-check for small N.
+O(N) scaling.  For small N the dense 2^N Pauli matrix is diagonalized as an
+independent cross-check.  That route uses only the spin-flip parity: it
+splits the matrix into its two 2^(N-1) parity blocks and keeps the lower
+ground level, so it also finds ground states outside the collective sector.
 """
 
 from __future__ import annotations
@@ -115,28 +117,25 @@ def ground_state(params: LmgParams) -> tuple[float, DickeVector]:
 def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
     """Ground energy and state from the full 2^n matrix (independent route).
 
-    When the lowest two levels are quasi-degenerate the eigenspace is
-    resolved by spin-flip parity, keeping the (-1)^n sector representative.
+    Every pair term flips two spins, so the matrix is block-diagonal in the
+    spin-flip parity sectors of Z_1..Z_n.  Each 2^(n-1) block is diagonalized
+    on its own and the lower ground level wins; levels within 1e-8 resolve
+    to the (-1)^n sector.  The state is exactly zero in the other sector.
+    Only the parity symmetry of the Pauli matrix is used, none of the
+    permutation symmetry of the collective route.
     """
     n = params.n
     if n > DENSE_GROUND_LIMIT:
         raise ResourceLimitError(f"dense diagonalization guarded at n <= {DENSE_GROUND_LIMIT}")
     h = build_lmg(params).dense_real()
-    evals, evecs = np.linalg.eigh(h)
-    energy = float(evals[0])
-    degenerate = np.nonzero(evals - evals[0] < 1e-8)[0]
-    if len(degenerate) > 1:
-        # Diagonalize parity inside the quasi-degenerate block.
-        par = 1.0 - 2.0 * (_popcounts(n) & 1)
-        block = evecs[:, degenerate]
-        pmat = block.T @ (par[:, None] * block)
-        pvals, pvecs = np.linalg.eigh(pmat)
-        want = (-1.0) ** n
-        col = int(np.argmin(np.abs(pvals - want)))
-        vec = block @ pvecs[:, col]
-    else:
-        vec = evecs[:, 0]
-    return energy, canonical_phase(vec.astype(complex))
+    flipped = (_popcounts(n) & 1) != n % 2
+    blocks = (np.flatnonzero(~flipped), np.flatnonzero(flipped))  # (-1)^n sector first
+    sectors = [np.linalg.eigh(h[np.ix_(b, b)]) for b in blocks]
+    lows = [float(evals[0]) for evals, _ in sectors]
+    win = 1 if lows[1] < lows[0] - 1e-8 else 0
+    vec = np.zeros(1 << n, dtype=complex)
+    vec[blocks[win]] = sectors[win][1][:, 0]
+    return min(lows), canonical_phase(vec)
 
 
 def dicke_to_statevector(state: DickeVector) -> np.ndarray:

@@ -139,19 +139,27 @@ def _optimal_pair_signs(n: int, chi: float) -> tuple[int, ...]:
     return (1,) * plus + (-1,) * (n - 1 - plus)
 
 
+def negated_pair_completion(params: LmgParams) -> bool:
+    """Whether the energy-optimal X-pair group completes with -Z1Z2.
+
+    Only at n = 2: there Z1Z2 is in the X-pair group and Y1Y2 = -X1X2 Z1Z2,
+    so the completion is -Z1Z2, and the state (|01> + |10>)/sqrt(2), exactly
+    when the Y1Y2 coefficient is negative (chi > 0 and vbar > 0).  For n > 2
+    no term of H detects the completion's sign.
+    """
+    return params.n == 2 and params.chi > 0 and params.vbar > 0
+
+
 def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidate]:
     """The energy-optimal group of each family with its energy, in family order.
 
     The product family puts every spin down, the X-pair family makes every
-    X_i X_n positive, and the Y-pair family takes ``_optimal_pair_signs``.
-    For n = 2 the Y-pair family duplicates the X-pair groups and is skipped.
-    There Z1Z2 is in the X-pair group and Y1Y2 = -X1X2 Z1Z2, so the
-    completion is -Z1Z2 exactly when the Y1Y2 coefficient is negative.
+    X_i X_n positive and completes with ``negated_pair_completion``'s sign,
+    and the Y-pair family takes ``_optimal_pair_signs``.  For n = 2 the
+    Y-pair family duplicates the X-pair groups and is skipped.
     """
     n = params.n
-    completion = None
-    if n == 2 and params.chi > 0 and params.vbar > 0:
-        completion = parity_string(2).negate()
+    completion = parity_string(2).negate() if negated_pair_completion(params) else None
     groups = [
         ("s1", product_family_group(n, (-1,) * n)),
         ("s2", pair_family_group(n, "X", (1,) * (n - 1), completion)),

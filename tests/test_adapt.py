@@ -104,6 +104,24 @@ class TestKernel:
         double = op.rotated(op.rotated(vec, 0.4), 0.25)
         assert np.allclose(double, op.rotated(vec, 0.65), atol=1e-12)
 
+    def test_integer_input_is_promoted(self):
+        # An integer basis state rotates like its float copy, bit for bit,
+        # instead of being truncated into its own integer dtype.
+        ops = pool(3)[:3]
+        angles = [0.3, -1.1, 0.7]
+        for index in range(8):
+            basis = np.zeros(8, dtype=np.int64)
+            basis[index] = 1
+            matrix = np.eye(8, dtype=np.int64)
+            for op, theta in zip(ops, angles):
+                assert same_bits(op.rotated(basis, theta), op.rotated(basis.astype(float), theta))
+                assert same_bits(op.rotated(matrix, theta), op.rotated(np.eye(8), theta))
+            assert same_bits(
+                apply_ansatz(basis, ops, angles),
+                apply_ansatz(basis.astype(float), ops, angles),
+            )
+        assert np.any(pool(2)[0].rotated(np.array([1, 0, 0, 0]), 0.3))
+
     def test_conjugation_routes_agree(self):
         rng = np.random.default_rng(7)
         mat = rng.normal(size=(16, 16))

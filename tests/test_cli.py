@@ -1,6 +1,9 @@
 """CLI tests: flag handling, CSV schemas, golden determinism, exit codes."""
 
+import hashlib
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,9 @@ import stabsplit.adapt as adapt_module
 import stabsplit.cli as cli
 import stabsplit.lmg as lmg
 from stabsplit.cli import ADAPT_COLUMNS, COLUMNS, QITP_COLUMNS, main
+from stabsplit.exact import dicke_to_statevector, fidelity, ground_state
 from stabsplit.lmg import LmgParams, build_lmg, select_split
+from stabsplit.metrics import n_tangle, one_spin_entropy
 from stabsplit.pauli import PauliHamiltonian
 from stabsplit.tableau import CliffordGate, apply_circuit
 from test_lmg import reference_candidates
@@ -55,6 +60,28 @@ class TestSweep:
         for col in ("fid_s1", "fid_s2", "fid_varjz", "fid_hf", "fid_hfproj"):
             assert 0.0 <= float(row[col]) <= 1.0 + 1e-12
         assert float(row["E_exact"]) <= min(float(row["E_s1"]), float(row["E_s2"])) + 1e-9
+
+    def test_s2_cells_describe_the_s2_candidate(self, capsys):
+        # fid_s2, S1_s2 and tauN_s2 belong to the state of the group E_s2
+        # scores, also at n = 2 with chi > 0, where that state is odd-sector.
+        argv = ["sweep", "--n", "2", "--n", "3", "--n", "4", "--vbar", "0.5", "--vbar", "2",
+                "--observables", "energies,fidelities,entropy,tangles", "--jobs", "1"]
+        for chi in ("-1", "0", "0.5", "1"):
+            argv += ["--chi", chi]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 3 * 4 * 2
+        for row in rows:
+            params = LmgParams(int(row["N"]), float(row["vbar"]), float(row["chi"]))
+            h = build_lmg(params)
+            candidate = next(c for c in lmg.candidate_groups(h, params) if c.family == "s2")
+            state = candidate.group.to_statevector()
+            exact = dicke_to_statevector(ground_state(params)[1])
+            assert float(row["E_s2"]) == pytest.approx(candidate.energy, abs=1e-11)
+            assert float(row["fid_s2"]) == pytest.approx(fidelity(state, exact), abs=1e-11)
+            assert float(row["S1_s2"]) == pytest.approx(one_spin_entropy(state), abs=1e-11)
+            assert float(row["tauN_s2"]) == pytest.approx(n_tangle(state, params.n), abs=1e-11)
 
     def test_row_order(self, capsys):
         code, out, _ = run_cli(
@@ -529,3 +556,46 @@ class TestEntryPoints:
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
         )
         assert result.stdout.strip() == "[]"
+
+
+def load_benchmark_workloads():
+    """perfbench/workloads.py, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFrozenPaperBytes:
+    def test_paper_n8_outputs_match_benchmark_digests(self):
+        # The benchmark's N = 8 outputs, in a fresh process with one BLAS
+        # thread as the benchmark runs them, against its recorded digests.
+        workloads = load_benchmark_workloads()
+        argvs = workloads.build_workloads()["paper-n8"].argvs(0)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import contextlib, io, json, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import stabsplit.cli as cli\n"
+            "outputs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buffer = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buffer):\n"
+            "        assert cli.main(argv) == 0\n"
+            "    outputs.append(buffer.getvalue())\n"
+            "print(json.dumps(outputs))\n"
+        )
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {**os.environ, **{name: "1" for name in threads}}
+        result = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=600, check=True, env=env,
+        )
+        outputs = json.loads(result.stdout)
+        digests = {
+            argv[0]: hashlib.sha256(text.encode()).hexdigest()
+            for argv, text in zip(argvs, outputs)
+        }
+        assert digests == workloads.PAPER_N8_SHA256

@@ -15,7 +15,8 @@ from stabsplit.exact import (
     stab_state_dicke_amplitudes,
 )
 from stabsplit.lmg import LmgParams, build_lmg, prepare_stab_state, select_split
-from stabsplit.pauli import ResourceLimitError
+from stabsplit.metrics import parity_expectation, sre
+from stabsplit.pauli import ResourceLimitError, _popcounts, canonical_phase
 
 
 def two_spin_block(vbar):
@@ -123,6 +124,73 @@ class TestGroundState:
     def test_dense_guard(self):
         with pytest.raises(ResourceLimitError):
             dense_ground_state(LmgParams(13, 1.0))
+
+
+def full_spectrum_reference(params):
+    """The earlier dense route: one eigh of the whole 2^n matrix, with a
+    quasi-degenerate ground level resolved by spin-flip parity toward the
+    (-1)^n sector.  Returns the full spectrum and the canonical state."""
+    n = params.n
+    evals, evecs = np.linalg.eigh(build_lmg(params).dense_real())
+    degenerate = np.nonzero(evals - evals[0] < 1e-8)[0]
+    if len(degenerate) > 1:
+        par = 1.0 - 2.0 * (_popcounts(n) & 1)
+        block = evecs[:, degenerate]
+        pvals, pvecs = np.linalg.eigh(block.T @ (par[:, None] * block))
+        vec = block @ pvecs[:, int(np.argmin(np.abs(pvals - (-1.0) ** n)))]
+    else:
+        vec = evecs[:, 0]
+    return evals, canonical_phase(vec.astype(complex))
+
+
+PARITY_GRID_CHIS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+PARITY_GRID_VBARS = tuple(np.geomspace(0.1, 100.0, 12))
+# N = 8, chi = 0.5: the odd block holds the ground level, against the
+# (-1)^n = +1 preference.
+ODD_WINNER = LmgParams(8, 1.4563484775012436, 0.5)
+
+
+def parity_grid(n):
+    points = [LmgParams(n, vbar, chi) for chi in PARITY_GRID_CHIS for vbar in PARITY_GRID_VBARS]
+    return points + [ODD_WINNER] if n == ODD_WINNER.n else points
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_cross_parity_blocks_are_zero(self, n):
+        odd = (_popcounts(n) & 1).astype(bool)
+        for params in parity_grid(n):
+            h = build_lmg(params).dense_real()
+            assert not np.any(h[np.ix_(odd, ~odd)])
+            assert not np.any(h[np.ix_(~odd, odd)])
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_full_spectrum_reference(self, n):
+        odd = (_popcounts(n) & 1).astype(bool)
+        for params in parity_grid(n):
+            energy, vec = dense_ground_state(params)
+            evals, ref_vec = full_spectrum_reference(params)
+            assert abs(energy - evals[0]) <= 1e-10 * abs(evals[0])
+            # One sector only, with exact zeros in the other.
+            assert not np.any(vec[odd]) or not np.any(vec[~odd])
+            assert sre(vec) == pytest.approx(sre(ref_vec), abs=1e-11)
+            if evals[1] - evals[0] > 1e-6:
+                assert fidelity(vec, ref_vec) >= 1.0 - 1e-10
+
+    def test_odd_block_wins(self):
+        energy, vec = dense_ground_state(ODD_WINNER)
+        assert energy == pytest.approx(-4.29094205455, abs=1e-10)
+        assert parity_expectation(vec) == pytest.approx(-1.0, abs=1e-12)
+        even = (_popcounts(8) & 1) == 0
+        assert not np.any(vec[even])
+
+    def test_tie_takes_the_minus_one_to_the_n_sector(self):
+        # n = 2, chi = 1, vbar = 1: |11> (even) and (|01> + |10>)/sqrt(2)
+        # (odd) both sit at -1; the even sector, (-1)^2 = +1, wins.
+        energy, vec = dense_ground_state(LmgParams(2, 1.0, 1.0))
+        assert energy == pytest.approx(-1.0, abs=1e-12)
+        assert parity_expectation(vec) == 1.0
+        assert vec[0b11] == 1.0
 
 
 class TestStatevectorExpansion:
