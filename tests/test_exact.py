@@ -190,7 +190,7 @@ class TestParityBlocks:
         energy, vec = dense_ground_state(LmgParams(2, 1.0, 1.0))
         assert energy == pytest.approx(-1.0, abs=1e-12)
         assert parity_expectation(vec) == 1.0
-        assert vec[0b11] == 1.0
+        assert vec[0b11] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStatevectorExpansion:
