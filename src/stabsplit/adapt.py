@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .exact import _parity_blocks, _parity_ground
 from .pauli import PauliHamiltonian, PauliString, ResourceLimitError, _popcounts
 
 ADAPT_QUBIT_LIMIT = 10
@@ -253,24 +254,25 @@ def _exact_target(dense: np.ndarray, n: int, reference: np.ndarray):
     """Ground energy plus the comparison eigenvector for fidelity rows.
 
     When the Hamiltonian conserves parity and the reference has definite
-    parity, the comparison state is the lowest eigenvector in that parity
-    sector; the pool cannot leave it, and near-degenerate opposite-parity
-    doublets would otherwise make the fidelity column meaningless.
+    parity, both 2^(n-1) parity blocks are diagonalized: the ground energy is
+    the lower level, and the comparison state is the lowest eigenvector in
+    the reference's sector; the pool cannot leave it, and near-degenerate
+    opposite-parity doublets would otherwise make the fidelity column
+    meaningless.  Otherwise the full 2^n matrix is diagonalized.
     """
-    evals, evecs = np.linalg.eigh(dense)
-    ground_energy = float(evals[0])
     signs = 1.0 - 2.0 * (_popcounts(n) & 1)
-    plus = signs > 0
-    minus = ~plus
-    conserves = np.max(np.abs(dense[np.ix_(plus, minus)])) < 1e-12
+    blocks = _parity_blocks(n)
+    conserves = np.max(np.abs(dense[np.ix_(*blocks)])) < 1e-12
     ref_parity = float(np.dot(reference, signs * reference))
     if conserves and abs(abs(ref_parity) - 1.0) < 1e-8:
-        mask = plus if ref_parity > 0 else minus
-        sub_vals, sub_vecs = np.linalg.eigh(dense[np.ix_(mask, mask)])
+        ground_energy, _, vecs = _parity_ground([dense[np.ix_(b, b)] for b in blocks])
+        # Block 0 is the (-1)^n sector.
+        side = 0 if ref_parity * (-1) ** n > 0 else 1
         target = np.zeros(len(signs))
-        target[mask] = sub_vecs[:, 0]
+        target[blocks[side]] = vecs[side]
         return ground_energy, target
-    return ground_energy, evecs[:, 0].astype(float)
+    evals, evecs = np.linalg.eigh(dense)
+    return float(evals[0]), evecs[:, 0].astype(float)
 
 
 def _select(dense: np.ndarray, state: np.ndarray, ops) -> tuple[int, float]:

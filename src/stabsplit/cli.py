@@ -240,7 +240,7 @@ def _sweep_cells(n: int, chi: float, vbar: float, observables: frozenset) -> dic
         _, hf_state = deformed_hf(params)
         cells["E_hf"] = _fmt(float(hf_state.amps @ h_full @ hf_state.amps))
         cells["fid_hf"] = _fmt(fidelity(hf_state, exact_state))
-        projected = parity_project(hf_state)
+        projected = parity_project(hf_state, (-1) ** (n - exact_state.ks[0]))
         cells["E_hfproj"] = _fmt(float(projected.amps @ h_full @ projected.amps))
         cells["fid_hfproj"] = _fmt(fidelity(projected, exact_state))
     return cells

@@ -222,7 +222,7 @@ def variational_jz(
     if reference is None:
         reference = stab_state_dicke_amplitudes(n, "s2")
     if reference.ks != ks:
-        raise ValueError("reference must live on the ground-parity sector")
+        raise ValueError("reference must live on the even-k, (-1)^N sector")
     m_vals = np.array(ks, dtype=float) - n / 2.0
     h_mat = dicke_hamiltonian(params)
     _, exact_state = ground_state(params)
@@ -259,45 +259,6 @@ def variational_jz(
         state=state,
         fidelity=fidelity(state, exact_state),
         theta2=theta2 if order == 2 else None,
-    )
-
-
-def variational_qitp_jz(
-    params: LmgParams, e0_bar: float | None = None, reference: DickeVector | None = None
-) -> VariationalResult:
-    """Same deformation implemented with the projection kernel of Jz.
-
-    Applies Q(theta) = (1 + e^(2(Jz - e0_bar) theta))^(-1/2), diagonal in the
-    collective basis, and optimizes theta.  The default shift -N/2 sits at
-    the bottom of the Jz spectrum so every level is damped.
-    """
-    n = params.n
-    ks = sector_ks(n)
-    if reference is None:
-        reference = stab_state_dicke_amplitudes(n, "s2")
-    if reference.ks != ks:
-        raise ValueError("reference must live on the ground-parity sector")
-    if e0_bar is None:
-        e0_bar = -n / 2.0
-    m_vals = np.array(ks, dtype=float) - n / 2.0
-    h_mat = dicke_hamiltonian(params)
-    _, exact_state = ground_state(params)
-
-    def deformed(theta: float) -> np.ndarray:
-        q_diag = np.exp(-0.5 * np.logaddexp(0.0, 2.0 * (m_vals - e0_bar) * theta))
-        return _normalized(reference.amps * q_diag)
-
-    def energy_at(theta: float) -> float:
-        amps = deformed(theta)
-        return float(amps @ h_mat @ amps)
-
-    theta, energy = _scan_then_refine(energy_at, 0.0, 4.0)
-    state = DickeVector(n, ks, deformed(theta))
-    return VariationalResult(
-        theta_opt=theta,
-        energy=energy,
-        state=state,
-        fidelity=fidelity(state, exact_state),
     )
 
 
@@ -342,7 +303,7 @@ def parity_project(state, sector: int | None = None):
     """Project onto a spin-flip-parity sector and renormalize.
 
     Basis states with k up-spins carry parity (-1)^(N-k); the default sector
-    is the ground state's, (-1)^N.
+    is (-1)^N, the even-k one.
     """
     if isinstance(state, DickeVector):
         n = state.n

@@ -1,13 +1,16 @@
 """Exact reference results in the fully symmetric collective sector.
 
 The Hamiltonian conserves total spin and spin-flip parity, and its ground
-state lives in the maximal J = N/2 multiplet, in the parity sector connected
-to M = -N/2 (all spins down, i.e. |1...1>).  States in that sector are held
-as real amplitude vectors over the spin-up counts k = 0, 2, 4, ..., giving
-O(N) scaling.  For small N the dense 2^N Pauli matrix is diagonalized as an
-independent cross-check.  That route uses only the spin-flip parity: it
-splits the matrix into its two 2^(N-1) parity blocks and keeps the lower
-ground level, so it also finds ground states outside the collective sector.
+state lives in the maximal J = N/2 multiplet.  States there are held as real
+amplitude vectors over the spin-up counts k, giving O(N) scaling.  The
+multiplet splits into two parity sectors: even k, the (-1)^N sector connected
+to M = -N/2 (all spins down, i.e. |1...1>), and odd k.  Each sector is
+diagonalized on its own and the lower ground level wins; the odd sector
+wins only when it is lower by more than 1e-8.  For small N the dense 2^N
+Pauli matrix is diagonalized as an independent cross-check.  That route uses
+only the spin-flip parity: it splits the matrix into its two 2^(N-1) parity
+blocks under the same rule, so it also finds ground states outside the
+collective sector.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ DENSE_GROUND_LIMIT = 12
 class DickeVector:
     """Real amplitudes over collective |J = n/2, M = k - n/2> states.
 
-    ``ks`` lists the spin-up counts carrying amplitude, ascending.  The
-    ground-state parity sector uses even k only; the full multiplet uses all
-    k = 0..n.
+    ``ks`` lists the spin-up counts carrying amplitude, ascending.  A
+    parity sector uses even k only (the (-1)^n sector) or odd k only; the
+    full multiplet uses all k = 0..n.
     """
 
     n: int
@@ -59,7 +62,7 @@ class DickeVector:
 
 
 def sector_ks(n: int) -> tuple[int, ...]:
-    """Spin-up counts of the ground-state parity sector (even k)."""
+    """Spin-up counts of the even-k, (-1)^n parity sector."""
     return tuple(range(0, n + 1, 2))
 
 
@@ -94,7 +97,7 @@ def _collective_matrix(params: LmgParams, ks) -> np.ndarray:
 
 
 def dicke_hamiltonian(params: LmgParams) -> np.ndarray:
-    """H restricted to the ground-state parity sector of the J = n/2 multiplet."""
+    """H restricted to the even-k, (-1)^n sector of the J = n/2 multiplet."""
     return _collective_matrix(params, sector_ks(params.n))
 
 
@@ -103,15 +106,44 @@ def dicke_hamiltonian_full(params: LmgParams) -> np.ndarray:
     return _collective_matrix(params, range(params.n + 1))
 
 
+def _parity_ground(blocks) -> tuple[float, int, list[np.ndarray]]:
+    """Ground level of a parity-block-diagonal matrix from its two blocks.
+
+    ``blocks`` holds the (-1)^n sector's block first.  Each block is
+    diagonalized on its own; the second wins only when its lowest level is
+    below the first's by more than 1e-8, so ties go to the (-1)^n sector.
+    Returns the lower ground level, the index of the winning block and each
+    block's lowest eigenvector.
+    """
+    sectors = [np.linalg.eigh(block) for block in blocks]
+    lows = [float(evals[0]) for evals, _ in sectors]
+    win = 1 if lows[1] < lows[0] - 1e-8 else 0
+    return min(lows), win, [evecs[:, 0] for _, evecs in sectors]
+
+
 def ground_state(params: LmgParams) -> tuple[float, DickeVector]:
-    """Sector ground energy and state; the M = -n/2 amplitude is made positive."""
-    mat = dicke_hamiltonian(params)
-    evals, evecs = np.linalg.eigh(mat)
-    vec = evecs[:, 0]
+    """Ground energy and state of the J = n/2 multiplet.
+
+    The even-k and odd-k sectors are diagonalized separately, and ``ks`` of
+    the returned state are those of the winning sector.  The amplitude of
+    the sector's lowest k (M = -n/2 for even k) is made positive.
+    """
+    n = params.n
+    sectors = (sector_ks(n), tuple(range(1, n + 1, 2)))
+    energy, win, vecs = _parity_ground(
+        (dicke_hamiltonian(params), _collective_matrix(params, sectors[1]))
+    )
+    vec = vecs[win]
     anchor = vec[0] if abs(vec[0]) > 1e-12 else vec[np.argmax(np.abs(vec))]
     if anchor < 0:
         vec = -vec
-    return float(evals[0]), DickeVector(params.n, sector_ks(params.n), vec)
+    return energy, DickeVector(n, sectors[win], vec)
+
+
+def _parity_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of the (-1)^n spin-flip parity sector, then the other."""
+    flipped = (_popcounts(n) & 1) != n % 2
+    return np.flatnonzero(~flipped), np.flatnonzero(flipped)
 
 
 def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
@@ -128,14 +160,11 @@ def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
     if n > DENSE_GROUND_LIMIT:
         raise ResourceLimitError(f"dense diagonalization guarded at n <= {DENSE_GROUND_LIMIT}")
     h = build_lmg(params).dense_real()
-    flipped = (_popcounts(n) & 1) != n % 2
-    blocks = (np.flatnonzero(~flipped), np.flatnonzero(flipped))  # (-1)^n sector first
-    sectors = [np.linalg.eigh(h[np.ix_(b, b)]) for b in blocks]
-    lows = [float(evals[0]) for evals, _ in sectors]
-    win = 1 if lows[1] < lows[0] - 1e-8 else 0
+    blocks = _parity_blocks(n)
+    energy, win, vecs = _parity_ground([h[np.ix_(b, b)] for b in blocks])
     vec = np.zeros(1 << n, dtype=complex)
-    vec[blocks[win]] = sectors[win][1][:, 0]
-    return min(lows), canonical_phase(vec)
+    vec[blocks[win]] = vecs[win]
+    return energy, canonical_phase(vec)
 
 
 def dicke_to_statevector(state: DickeVector) -> np.ndarray:

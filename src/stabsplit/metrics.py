@@ -10,15 +10,12 @@ collective systems where no statevector exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .exact import DickeVector
 from .pauli import PauliString, ResourceLimitError, _indices, _popcounts, num_qubits
 
 SRE_QUBIT_LIMIT = 10
-_RANGE_TOL = 1e-9
 
 
 def _require_normalized(state: np.ndarray):
@@ -154,45 +151,3 @@ def parity_expectation(state: np.ndarray) -> float:
     n = num_qubits(state)
     flip = PauliString.from_ops(n, {q: "Z" for q in range(1, n + 1)})
     return float(np.real(np.vdot(state, flip.apply(state))))
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Bundle of the diagnostics for one state.
-
-    ``m2`` is the order-2 stabilizer Renyi entropy (None when skipped by the
-    resource guard), ``tangles`` maps tangle order to tau_n.
-    """
-
-    m2: float | None
-    s1: float
-    tangles: dict[int, float] = field(default_factory=dict)
-    parity: float = 1.0
-
-    def __post_init__(self):
-        if self.m2 is not None and self.m2 < -_RANGE_TOL:
-            raise ValueError("negative magic")
-        if not -_RANGE_TOL <= self.s1 <= 1.0 + _RANGE_TOL:
-            raise ValueError("one-spin entropy outside [0, 1]")
-        for order, value in self.tangles.items():
-            if not -_RANGE_TOL <= value <= 1.0 + _RANGE_TOL:
-                raise ValueError(f"tangle tau_{order} outside [0, 1]")
-        if not -1.0 - _RANGE_TOL <= self.parity <= 1.0 + _RANGE_TOL:
-            raise ValueError("parity outside [-1, 1]")
-
-
-def metrics_report(
-    state: np.ndarray,
-    tangle_orders: tuple[int, ...] | None = None,
-    include_magic: bool = True,
-) -> MetricsReport:
-    """All diagnostics for one permutation-symmetric statevector."""
-    n = num_qubits(state)
-    if tangle_orders is None:
-        tangle_orders = tuple(range(1, n + 1))
-    return MetricsReport(
-        m2=sre(state) if include_magic else None,
-        s1=one_spin_entropy(state),
-        tangles={order: n_tangle(state, order) for order in tangle_orders},
-        parity=parity_expectation(state),
-    )

@@ -22,7 +22,7 @@ from stabsplit.adapt import (
 from stabsplit.exact import dense_ground_state, fidelity
 from stabsplit.lmg import LmgParams, build_lmg, pair_family_group
 from stabsplit.metrics import parity_expectation
-from stabsplit.pauli import PauliString, ResourceLimitError
+from stabsplit.pauli import PauliString, ResourceLimitError, _popcounts
 
 
 def pair_state(n):
@@ -597,3 +597,53 @@ class TestLineSearchCalls:
             assert angles == ref_angles == list(record.angles)
             total_rejected += rejected
         assert total_rejected > 0
+
+
+def full_eigh_exact_target(dense, n, reference):
+    """The earlier target: the ground energy from one eigh of the whole 2^n
+    matrix, then a second eigh of the reference's parity block."""
+    evals, evecs = np.linalg.eigh(dense)
+    ground_energy = float(evals[0])
+    signs = 1.0 - 2.0 * (_popcounts(n) & 1)
+    plus = signs > 0
+    minus = ~plus
+    conserves = np.max(np.abs(dense[np.ix_(plus, minus)])) < 1e-12
+    ref_parity = float(np.dot(reference, signs * reference))
+    if conserves and abs(abs(ref_parity) - 1.0) < 1e-8:
+        mask = plus if ref_parity > 0 else minus
+        sub_vals, sub_vecs = np.linalg.eigh(dense[np.ix_(mask, mask)])
+        target = np.zeros(len(signs))
+        target[mask] = sub_vecs[:, 0]
+        return ground_energy, target
+    return ground_energy, evecs[:, 0].astype(float)
+
+
+class TestExactTarget:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_full_eigh_reference(self, n):
+        one_flip = np.zeros(1 << n)
+        one_flip[-2] = 1.0
+        references = (pair_state(n), all_down(n), one_flip)
+        for params in (LmgParams(n, 5.0), LmgParams(n, 1.4563484775012436, 0.5)):
+            dense = build_lmg(params).dense_real()
+            for reference in map(adapt_module._as_real_state, references):
+                energy, target = adapt_module._exact_target(dense, n, reference)
+                ref_energy, ref_target = full_eigh_exact_target(dense, n, reference)
+                assert np.array_equal(target, ref_target)
+                assert energy == pytest.approx(ref_energy, abs=1e-12)
+
+    def test_no_full_eigh_for_a_definite_parity_reference(self, monkeypatch):
+        sizes = []
+        real_eigh = np.linalg.eigh
+
+        def recording(mat):
+            sizes.append(len(mat))
+            return real_eigh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        dense = build_lmg(LmgParams(4, 5.0)).dense_real()
+        adapt_module._exact_target(dense, 4, all_down(4))
+        assert sizes == [8, 8]
+        mixed = (all_down(4) + np.eye(16)[-2]) / np.sqrt(2.0)
+        adapt_module._exact_target(dense, 4, mixed)
+        assert sizes == [8, 8, 16]

@@ -61,6 +61,28 @@ class TestSweep:
             assert 0.0 <= float(row[col]) <= 1.0 + 1e-12
         assert float(row["E_exact"]) <= min(float(row["E_s1"]), float(row["E_s2"])) + 1e-9
 
+    def test_exact_state_from_the_odd_sector(self, capsys):
+        # n = 8, chi = 0.5: the odd-k sector holds the multiplet's ground
+        # level, so the even-sector s1, s2 and varjz states overlap it in 0.
+        argv = ["sweep", "--n", "8", "--chi", "0.5", "--vbar", "1.4563484775012436",
+                "--jobs", "1"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        _, (row,) = parse_csv(out)
+        assert row["E_exact"] == "-4.29094205455"
+        assert row["fid_s1"] == row["fid_s2"] == row["fid_varjz"] == "0"
+        assert float(row["fid_hfproj"]) > 0.999
+
+    def test_two_spin_odd_ground_state_bounds_the_stabilizer_energy(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["sweep", "--n", "2", "--chi", "0.5", "--vbar", "2", "--jobs", "1"]
+        )
+        assert code == 0
+        _, (row,) = parse_csv(out)
+        assert row["E_exact"] == "-1.5"
+        assert float(row["E_exact"]) <= float(row["E_stab_sel"])
+        assert row["fid_s2"] == "1"
+
     def test_s2_cells_describe_the_s2_candidate(self, capsys):
         # fid_s2, S1_s2 and tauN_s2 belong to the state of the group E_s2
         # scores, also at n = 2 with chi > 0, where that state is odd-sector.

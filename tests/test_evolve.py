@@ -15,7 +15,6 @@ from stabsplit.evolve import (
     qitp_postselect,
     qitp_unitary,
     variational_jz,
-    variational_qitp_jz,
 )
 from stabsplit.exact import (
     DickeVector,
@@ -403,21 +402,6 @@ class TestVariationalJz:
                 LmgParams(4, 2.0),
                 reference=DickeVector(4, (0, 1, 2, 3, 4), np.ones(5) / np.sqrt(5.0)),
             )
-
-
-class TestVariationalQitpJz:
-    def test_agrees_qualitatively_with_direct_deformation(self):
-        for vbar in np.geomspace(0.1, 100.0, 15):
-            params = LmgParams(8, float(vbar))
-            direct = variational_jz(params)
-            kernel = variational_qitp_jz(params)
-            assert abs(direct.fidelity - kernel.fidelity) < 0.05
-            assert kernel.energy >= ground_state(params)[0] - 1e-9
-
-    def test_shift_default_sits_at_spectrum_bottom(self):
-        result = variational_qitp_jz(LmgParams(4, 5.0))
-        assert 0.0 <= result.fidelity <= 1.0 + 1e-12
-        assert result.theta2 is None
 
 
 class TestDeformedHf:

@@ -192,6 +192,33 @@ class TestParityBlocks:
         assert parity_expectation(vec) == 1.0
         assert vec[0b11] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_collective_route_matches_dense(self, n):
+        for params in parity_grid(n):
+            energy, state = ground_state(params)
+            e_dense, vec = dense_ground_state(params)
+            assert abs(energy - e_dense) <= 1e-10 * abs(e_dense)
+            # k spin-ups carry parity (-1)^(n-k).
+            assert (-1) ** (n - state.ks[0]) == round(parity_expectation(vec))
+            levels = np.linalg.eigvalsh(dicke_hamiltonian_full(params))
+            if levels[1] - levels[0] > 1e-6:
+                assert fidelity(dicke_to_statevector(state), vec) >= 1.0 - 1e-10
+
+    def test_collective_tie_takes_the_even_sector(self):
+        energy, state = ground_state(LmgParams(2, 1.0, 1.0))
+        assert energy == pytest.approx(-1.0, abs=1e-12)
+        assert state.ks == (0, 2)
+        assert state.amps[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_collective_odd_sector_wins(self):
+        energy, state = ground_state(ODD_WINNER)
+        assert energy == pytest.approx(-4.29094205455, abs=1e-10)
+        assert state.ks == (1, 3, 5, 7)
+        # Even sector twofold degenerate at -4; the odd one lies below it.
+        energy, state = ground_state(LmgParams(8, 7.0 / 6.0, 1.0))
+        assert energy == pytest.approx(-25.0 / 6.0, abs=1e-10)
+        assert state.ks == (1, 3, 5, 7)
+
 
 class TestStatevectorExpansion:
     def test_pure_all_down(self):

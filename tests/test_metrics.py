@@ -9,8 +9,6 @@ from scipy.linalg import expm
 from stabsplit.exact import DickeVector, dense_ground_state, dicke_to_statevector, sector_ks
 from stabsplit.lmg import LmgParams, build_lmg, prepare_stab_state, select_split
 from stabsplit.metrics import (
-    MetricsReport,
-    metrics_report,
     n_tangle,
     n_tangle_dicke,
     one_spin_entropy,
@@ -328,27 +326,3 @@ class TestParity:
                 assert parity_expectation(vec) == pytest.approx(
                     (-1.0) ** n, abs=1e-12
                 )
-
-
-class TestMetricsReport:
-    def test_pair_state_report(self):
-        report = metrics_report(pair_state(4))
-        assert report.m2 == pytest.approx(0.0, abs=1e-10)
-        assert report.s1 == pytest.approx(1.0, abs=1e-12)
-        assert report.tangles[4] == pytest.approx(1.0, abs=1e-12)
-        assert report.tangles[2] == pytest.approx(0.0, abs=1e-12)
-        assert report.parity == pytest.approx(1.0, abs=1e-12)
-
-    def test_magic_can_be_skipped(self):
-        report = metrics_report(pair_state(3), include_magic=False)
-        assert report.m2 is None
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            MetricsReport(m2=-1.0, s1=0.5)
-        with pytest.raises(ValueError):
-            MetricsReport(m2=0.0, s1=2.0)
-        with pytest.raises(ValueError):
-            MetricsReport(m2=0.0, s1=0.5, tangles={2: 1.5})
-        with pytest.raises(ValueError):
-            MetricsReport(m2=0.0, s1=0.5, parity=-2.0)
