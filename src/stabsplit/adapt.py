@@ -177,11 +177,6 @@ def gradient(state: np.ndarray, t, h: PauliHamiltonian) -> float:
 class AdaptConfig:
     """Growth and convergence knobs.
 
-    reference names the stabilizer starting state for driver code: "s2"
-    is the X-pair state, "s1" the all-down product state. run_adapt takes
-    the reference vector explicitly, so the label is only consumed by
-    callers that build the state themselves.
-
     vqe_tol ends each angle re-optimization: stop when one step lowers the
     energy by less than vqe_tol.
     """
@@ -189,15 +184,12 @@ class AdaptConfig:
     max_layers: int = 120
     grad_threshold: float = 1e-6
     vqe_tol: float = 1e-12
-    reference: str = "s2"
 
     def __post_init__(self):
         if self.max_layers < 1:
             raise ValueError("max_layers must be positive")
         if not all(math.isfinite(t) and t > 0 for t in (self.grad_threshold, self.vqe_tol)):
             raise ValueError("thresholds must be finite and positive")
-        if self.reference not in ("s1", "s2"):
-            raise ValueError("reference must be 's1' or 's2'")
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ import numpy as np
 from .adapt import ADAPT_QUBIT_LIMIT, AdaptConfig, AdaptError, AdaptTrace, run_adapt
 from .evolve import QITP_QUBIT_LIMIT, qitp_postselect, variational_jz, deformed_hf, parity_project
 from .exact import (
-    DickeVector,
     dense_ground_state,
     dicke_hamiltonian_full,
     fidelity,
     ground_state,
+    s2_candidate_state,
     stab_state_dicke_amplitudes,
 )
 from .lmg import (
@@ -35,7 +35,6 @@ from .lmg import (
     best_family_energy,
     build_lmg,
     candidate_groups,
-    negated_pair_completion,
     preparation_circuit,
     prepare_stab_state,
     select_candidate,
@@ -45,31 +44,7 @@ from .lmg import (
 from .metrics import SRE_QUBIT_LIMIT, n_tangle_dicke, one_spin_entropy_dicke, sre
 from .tableau import STATEVECTOR_QUBIT_LIMIT
 
-COLUMNS = (
-    "N",
-    "chi",
-    "vbar",
-    "E_exact",
-    "E_s1",
-    "E_s2",
-    "E_stab_sel",
-    "fid_s1",
-    "fid_s2",
-    "S1_exact",
-    "S1_s2",
-    "tauN_exact",
-    "tauN_s2",
-    "M2_exact",
-    "E_varjz",
-    "fid_varjz",
-    "E_hf",
-    "fid_hf",
-    "E_hfproj",
-    "fid_hfproj",
-)
-
-OBSERVABLES = ("energies", "fidelities", "entropy", "tangles", "magic", "varjz", "hf")
-
+# Sweep observables and the columns each fills, in column order.
 _COLUMNS_FOR = {
     "energies": ("E_exact", "E_s1", "E_s2", "E_stab_sel"),
     "fidelities": ("fid_s1", "fid_s2"),
@@ -79,6 +54,8 @@ _COLUMNS_FOR = {
     "varjz": ("E_varjz", "fid_varjz"),
     "hf": ("E_hf", "fid_hf", "E_hfproj", "fid_hfproj"),
 }
+OBSERVABLES = tuple(_COLUMNS_FOR)
+COLUMNS = ("N", "chi", "vbar", *(col for cols in _COLUMNS_FOR.values() for col in cols))
 
 QITP_COLUMNS = (
     "tau",
@@ -130,51 +107,49 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"not a boolean: {text!r}")
+def _cast(kind, text: str):
+    """Config text as a value of the setting's ``kind``."""
+    if kind is bool:
+        low = text.lower()
+        if low in ("1", "true", "yes", "on"):
+            return True
+        if low in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {text!r}")
+    if isinstance(kind, list):
+        values = [kind[0](tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ValueError("empty list")
+        return values
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"must be one of {', '.join(kind)}, got {text!r}")
+        return text
+    return kind(text)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _check_vbar(values) -> None:
-    """Reject a nan, infinite or negative coupling as a usage error."""
-    if not all(math.isfinite(v) and v >= 0 for v in values):
-        raise UsageError("vbar must be finite and nonnegative")
-
-
-def _resolve(args: argparse.Namespace, cfg: dict[str, str], table: dict) -> dict:
+def _resolve(args: argparse.Namespace, cfg: dict[str, str], settings: dict) -> dict:
     """Merge flag values, config values, and defaults; flags win.
 
-    ``table`` maps each setting name to (cast for config text, default).
-    Config keys outside the table are rejected so typos do not pass silently.
+    Config keys outside ``settings`` are rejected so typos do not pass
+    silently.
     """
-    unknown = sorted(set(cfg) - set(table) - {"config"})
+    unknown = sorted(set(cfg) - set(settings) - {"config"})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    merged = {}
-    for name, (cast, default) in table.items():
-        flag_value = getattr(args, name, None)
+    opt = {}
+    for name, (kind, default, _) in settings.items():
+        flag_value = getattr(args, name)
         if flag_value is not None:
-            merged[name] = flag_value
+            opt[name] = flag_value
         elif name in cfg:
             try:
-                merged[name] = cast(cfg[name])
+                opt[name] = _cast(kind, cfg[name])
             except (ValueError, TypeError) as exc:
                 raise UsageError(f"config key {name}: {exc}") from exc
         else:
-            merged[name] = default
-    return merged
+            opt[name] = default
+    return opt
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -185,15 +160,21 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _emit_table(columns, rows, opt: dict) -> None:
+    """Rows as CSV to ``out`` and, when ``json`` is set, as JSON records there."""
+    lines = [",".join(columns)] + [",".join(row) for row in rows]
+    _emit("\n".join(lines) + "\n", opt["out"])
+    if opt["json"] is not None:
+        records = [dict(zip(columns, row)) for row in rows]
+        _emit(json.dumps(records, indent=2) + "\n", opt["json"])
 
 
-def _json_text(columns, rows) -> str:
-    records = [dict(zip(columns, row)) for row in rows]
-    return json.dumps(records, indent=2) + "\n"
+def _point_params(point) -> LmgParams:
+    """``point``'s n, vbar and chi as LmgParams; a rule they break is a usage error."""
+    try:
+        return LmgParams(point["n"], point["vbar"], point["chi"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # -- sweep -------------------------------------------------------------------
@@ -212,12 +193,7 @@ def _sweep_cells(n: int, chi: float, vbar: float, observables: frozenset) -> dic
         cells["E_s2"] = _fmt(best_family_energy(candidates, "s2"))
         cells["E_stab_sel"] = _fmt(select_candidate(h, params, candidates).energy)
     if observables & {"fidelities", "entropy", "tangles"}:
-        # The s2 state is the X-pair candidate's: at n = 2 it can sit in the
-        # odd sector, (|01> + |10>)/sqrt(2) = |J = 1, M = 0>.
-        if negated_pair_completion(params):
-            s2_state = DickeVector(2, (1,), [1.0])
-        else:
-            s2_state = stab_state_dicke_amplitudes(n, "s2")
+        s2_state = s2_candidate_state(params)
     if "fidelities" in observables:
         s1_state = stab_state_dicke_amplitudes(n, "s1")
         cells["fid_s1"] = _fmt(fidelity(s1_state, exact_state))
@@ -255,38 +231,22 @@ def _row_worker(task):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-_SWEEP_TABLE = {
-    "n": (_int_list, [8]),
-    "chi": (_float_list, [-1.0]),
-    "vbar": (_float_list, None),
-    "vbar_min": (float, 0.1),
-    "vbar_max": (float, 100.0),
-    "vbar_points": (int, 50),
-    "linear": (_bool, False),
-    "observables": (str, None),
-    "out": (str, None),
-    "json": (str, None),
-    "jobs": (int, None),
-    "seed": (int, None),
-}
-
-
-def run_sweep(args: argparse.Namespace, cfg: dict[str, str]) -> int:
-    opt = _resolve(args, cfg, _SWEEP_TABLE)
+def run_sweep(opt: dict) -> int:
     ns = sorted(set(opt["n"]))
     chis = sorted(set(opt["chi"]))
-    if any(n < 2 for n in ns):
-        raise UsageError("spin counts must be >= 2")
-    if any(not -1.0 <= chi <= 1.0 for chi in chis):
-        raise UsageError("chi must lie in [-1, 1]")
-    if opt["vbar"] is not None:
-        _check_vbar(opt["vbar"])
+    explicit = opt["vbar"] is not None
+    for n in ns:
+        for chi in chis:
+            for vbar in opt["vbar"] if explicit else (opt["vbar_min"], opt["vbar_max"]):
+                # Valid bounds give valid grid points.
+                _point_params({"n": n, "chi": chi, "vbar": vbar})
+    if explicit:
         vbars = sorted(set(opt["vbar"]))
     else:
-        # Finite nonnegative bounds give finite nonnegative grid points.
-        _check_vbar((opt["vbar_min"], opt["vbar_max"]))
         if opt["vbar_points"] < 1:
             raise UsageError("vbar-points must be >= 1")
+        if opt["vbar_min"] > opt["vbar_max"]:
+            raise UsageError("vbar-min must not exceed vbar-max")
         if opt["linear"]:
             vbars = list(np.linspace(opt["vbar_min"], opt["vbar_max"], opt["vbar_points"]))
         else:
@@ -300,6 +260,8 @@ def run_sweep(args: argparse.Namespace, cfg: dict[str, str]) -> int:
             observables.discard("magic")
     else:
         tokens = [tok.strip() for tok in opt["observables"].split(",") if tok.strip()]
+        if not tokens:
+            raise UsageError(f"observables must name at least one of {','.join(OBSERVABLES)}")
         bad = sorted(set(tokens) - set(OBSERVABLES))
         if bad:
             raise UsageError(f"unknown observables: {', '.join(bad)}")
@@ -334,9 +296,7 @@ def run_sweep(args: argparse.Namespace, cfg: dict[str, str]) -> int:
         rows.append(
             tuple(index[col] if col in index else cells.get(col, "") for col in COLUMNS)
         )
-    _emit(_csv_text(COLUMNS, rows), opt["out"])
-    if opt["json"] is not None:
-        _emit(_json_text(COLUMNS, rows), opt["json"])
+    _emit_table(COLUMNS, rows, opt)
     return 1 if failed else 0
 
 
@@ -357,46 +317,21 @@ def _split_report(split: HamiltonianSplit) -> list[str]:
     return lines
 
 
-_POINT_TABLE = {
-    "n": (int, 8),
-    "chi": (float, -1.0),
-    "vbar": (float, 1.0),
-    "out": (str, None),
-    "seed": (int, None),
-}
-
-
-def _point_params(opt) -> LmgParams:
-    if opt["n"] < 2:
-        raise UsageError("n must be >= 2")
-    if not -1.0 <= opt["chi"] <= 1.0:
-        raise UsageError("chi must lie in [-1, 1]")
-    _check_vbar((opt["vbar"],))
-    return LmgParams(opt["n"], opt["vbar"], opt["chi"])
-
-
-def run_decompose(args: argparse.Namespace, cfg: dict[str, str]) -> int:
-    opt = _resolve(args, cfg, _POINT_TABLE)
+def run_decompose(opt: dict) -> int:
     params = _point_params(opt)
     split = select_split(build_lmg(params), params)
     _emit("\n".join(_split_report(split)) + "\n", opt["out"])
     return 0
 
 
-_PREPARE_TABLE = dict(_POINT_TABLE, family=(str, None), emit_state=(_bool, False))
-
-
-def run_prepare(args: argparse.Namespace, cfg: dict[str, str]) -> int:
-    opt = _resolve(args, cfg, _PREPARE_TABLE)
+def run_prepare(opt: dict) -> int:
     params = _point_params(opt)
     h = build_lmg(params)
     if opt["family"] is None:
         split = select_split(h, params)
-    elif opt["family"] in ("s1", "s2"):
+    else:
         candidates = {c.family: c for c in candidate_groups(h, params)}
         split = split_around(h, params, candidates[opt["family"]])
-    else:
-        raise UsageError("family must be s1 or s2")
     lines = _split_report(split)
     if opt["emit_state"]:
         if params.n > STATEVECTOR_QUBIT_LIMIT:
@@ -413,21 +348,7 @@ def run_prepare(args: argparse.Namespace, cfg: dict[str, str]) -> int:
 # -- qitp ----------------------------------------------------------------------
 
 
-_QITP_TABLE = {
-    "n": (int, 8),
-    "chi": (float, -1.0),
-    "vbar": (float, 1.0),
-    "tau_max": (float, 5.0),
-    "tau_points": (int, 26),
-    "e0": (float, None),
-    "out": (str, None),
-    "json": (str, None),
-    "seed": (int, None),
-}
-
-
-def run_qitp(args: argparse.Namespace, cfg: dict[str, str]) -> int:
-    opt = _resolve(args, cfg, _QITP_TABLE)
+def run_qitp(opt: dict) -> int:
     params = _point_params(opt)
     n = params.n
     if n > QITP_QUBIT_LIMIT:
@@ -458,31 +379,14 @@ def run_qitp(args: argparse.Namespace, cfg: dict[str, str]) -> int:
         for key in ("s1", "s2"):
             cells.append(_fmt(evolved[key][1]))
         rows.append(tuple(cells))
-    _emit(_csv_text(QITP_COLUMNS, rows), opt["out"])
-    if opt["json"] is not None:
-        _emit(_json_text(QITP_COLUMNS, rows), opt["json"])
+    _emit_table(QITP_COLUMNS, rows, opt)
     return 0
 
 
 # -- adapt ---------------------------------------------------------------------
 
 
-_ADAPT_TABLE = {
-    "n": (int, 8),
-    "chi": (float, -1.0),
-    "vbar": (float, 1.0),
-    "reference": (str, AdaptConfig.reference),
-    "max_layers": (int, AdaptConfig.max_layers),
-    "grad_threshold": (float, AdaptConfig.grad_threshold),
-    "vqe_tol": (float, AdaptConfig.vqe_tol),
-    "out": (str, None),
-    "json": (str, None),
-    "seed": (int, None),
-}
-
-
-def run_adapt_cmd(args: argparse.Namespace, cfg: dict[str, str]) -> int:
-    opt = _resolve(args, cfg, _ADAPT_TABLE)
+def run_adapt_cmd(opt: dict) -> int:
     params = _point_params(opt)
     if params.n > ADAPT_QUBIT_LIMIT:
         raise UsageError(f"adapt needs n <= {ADAPT_QUBIT_LIMIT}")
@@ -492,7 +396,7 @@ def run_adapt_cmd(args: argparse.Namespace, cfg: dict[str, str]) -> int:
         raise UsageError(str(exc)) from exc
     h = build_lmg(params)
     candidates = {c.family: c for c in candidate_groups(h, params)}
-    reference = candidates[config.reference].group.to_statevector()
+    reference = candidates[opt["reference"]].group.to_statevector()
     try:
         trace = run_adapt(h, reference, config)
     except AdaptError as err:
@@ -516,94 +420,116 @@ def _emit_adapt_rows(trace: AdaptTrace, opt: dict) -> None:
         )
         for record, rel in zip(trace.layers, trace.rel_energy_errors())
     ]
-    _emit(_csv_text(ADAPT_COLUMNS, rows), opt["out"])
-    if opt["json"] is not None:
-        _emit(_json_text(ADAPT_COLUMNS, rows), opt["json"])
+    _emit_table(ADAPT_COLUMNS, rows, opt)
 
 
-# -- parser ------------------------------------------------------------------
+# -- settings and parser -------------------------------------------------------
+
+
+# Each subcommand's runner, help line and settings, name -> (kind, default,
+# help).  The flag is --name with dashes and the config key is the name.
+# kind is int, float or str; [int] or [float] for a repeatable flag (a comma
+# list in a config file); bool for a switch; or a tuple of choices.
+_POINT = {
+    "n": (int, 8, "spin count, >= 2"),
+    "chi": (float, -1.0, "anisotropy in [-1, 1]"),
+    "vbar": (float, 1.0, "coupling, finite and >= 0"),
+}
+_JSON = {"json": (str, None, "also write rows as JSON to this path")}
+_OUTPUT = {
+    "seed": (int, None, "reserved; every run is deterministic"),
+    "out": (str, None, "output path (default: stdout)"),
+}
+SETTINGS = {
+    "sweep": (
+        run_sweep,
+        "grid sweep over (N, chi, vbar) to CSV",
+        {
+            "n": ([int], [8], "spin count (repeatable)"),
+            "chi": ([float], [-1.0], "anisotropy (repeatable)"),
+            "vbar": ([float], None, "explicit coupling (repeatable; default: the grid)"),
+            "vbar_min": (float, 0.1, "lowest grid coupling"),
+            "vbar_max": (float, 100.0, "highest grid coupling"),
+            "vbar_points": (int, 50, "grid points"),
+            "linear": (bool, False, "linear grid (default: log)"),
+            "observables": (str, None, f"comma list from {{{','.join(OBSERVABLES)}}}"),
+            **_JSON,
+            "jobs": (int, None, "worker processes (default: machine)"),
+            **_OUTPUT,
+        },
+    ),
+    "decompose": (run_decompose, "print the selected stabilizer split", {**_POINT, **_OUTPUT}),
+    "prepare": (
+        run_prepare,
+        "print a family's group, circuit, and state",
+        {
+            **_POINT,
+            "family": (("s1", "s2"), None, "stabilizer family (default: the selected one)"),
+            "emit_state": (bool, False, "also print the state's nonzero amplitudes"),
+            **_OUTPUT,
+        },
+    ),
+    "qitp": (
+        run_qitp,
+        "projection-cooling curves to CSV",
+        {
+            **_POINT,
+            "tau_max": (float, 5.0, "largest imaginary time"),
+            "tau_points": (int, 26, "imaginary-time grid points"),
+            "e0": (float, None, "energy shift (default: selected stabilizer energy)"),
+            **_JSON,
+            **_OUTPUT,
+        },
+    ),
+    "adapt": (
+        run_adapt_cmd,
+        "adaptive ansatz growth trace to CSV",
+        {
+            **_POINT,
+            "reference": (("s1", "s2"), "s2", "start state: s2 the X-pair, s1 all spins down"),
+            "max_layers": (int, AdaptConfig.max_layers, "layer cap"),
+            "grad_threshold": (float, AdaptConfig.grad_threshold, "stop when no gradient exceeds this"),
+            "vqe_tol": (float, AdaptConfig.vqe_tol, "re-optimization stops below this energy step"),
+            **_JSON,
+            **_OUTPUT,
+        },
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``SETTINGS`` entry, one flag per setting."""
     parser = argparse.ArgumentParser(
         prog="stabsplit",
         description="Stabilizer splits, state preparation, and deformation "
         "drivers for the collective spin model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
+    for command, (_, summary, settings) in SETTINGS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat key=value file mirroring the flags")
-        p.add_argument("--seed", type=int, help="reserved; every run is deterministic")
-        p.add_argument("--out", help="output path (default: stdout)")
-
-    sweep = sub.add_parser("sweep", help="grid sweep over (N, chi, vbar) to CSV")
-    sweep.add_argument("--n", type=int, action="append", help="spin count (repeatable)")
-    sweep.add_argument("--chi", type=float, action="append", help="anisotropy (repeatable)")
-    sweep.add_argument("--vbar", type=float, action="append", help="explicit coupling (repeatable)")
-    sweep.add_argument("--vbar-min", type=float, dest="vbar_min")
-    sweep.add_argument("--vbar-max", type=float, dest="vbar_max")
-    sweep.add_argument("--vbar-points", type=int, dest="vbar_points")
-    sweep.add_argument("--linear", action="store_true", default=None, help="linear grid (default: log)")
-    sweep.add_argument("--observables", help=f"comma list from {{{','.join(OBSERVABLES)}}}")
-    sweep.add_argument("--json", help="also write rows as JSON to this path")
-    sweep.add_argument("--jobs", type=int, help="worker processes (default: machine)")
-    common(sweep)
-    sweep.set_defaults(run=run_sweep)
-
-    decompose = sub.add_parser("decompose", help="print the selected stabilizer split")
-    decompose.add_argument("--n", type=int)
-    decompose.add_argument("--chi", type=float)
-    decompose.add_argument("--vbar", type=float)
-    common(decompose)
-    decompose.set_defaults(run=run_decompose)
-
-    prepare = sub.add_parser("prepare", help="print a family's group, circuit, and state")
-    prepare.add_argument("--n", type=int)
-    prepare.add_argument("--chi", type=float)
-    prepare.add_argument("--vbar", type=float)
-    prepare.add_argument("--family", choices=("s1", "s2"))
-    prepare.add_argument("--emit-state", action="store_true", default=None, dest="emit_state")
-    common(prepare)
-    prepare.set_defaults(run=run_prepare)
-
-    qitp = sub.add_parser("qitp", help="projection-cooling curves to CSV")
-    qitp.add_argument("--n", type=int)
-    qitp.add_argument("--chi", type=float)
-    qitp.add_argument("--vbar", type=float)
-    qitp.add_argument("--tau-max", type=float, dest="tau_max")
-    qitp.add_argument("--tau-points", type=int, dest="tau_points")
-    qitp.add_argument("--e0", type=float, help="energy shift (default: selected stabilizer energy)")
-    qitp.add_argument("--json", help="also write rows as JSON to this path")
-    common(qitp)
-    qitp.set_defaults(run=run_qitp)
-
-    adapt = sub.add_parser("adapt", help="adaptive ansatz growth trace to CSV")
-    adapt.add_argument("--n", type=int)
-    adapt.add_argument("--chi", type=float)
-    adapt.add_argument("--vbar", type=float)
-    adapt.add_argument("--reference", choices=("s1", "s2"))
-    adapt.add_argument("--max-layers", type=int, dest="max_layers")
-    adapt.add_argument("--grad-threshold", type=float, dest="grad_threshold")
-    adapt.add_argument(
-        "--vqe-tol",
-        type=float,
-        dest="vqe_tol",
-        help="stop re-optimizing when one step lowers the energy by less than this (default 1e-12)",
-    )
-    adapt.add_argument("--json", help="also write rows as JSON to this path")
-    common(adapt)
-    adapt.set_defaults(run=run_adapt_cmd)
-
+        for name, (kind, default, text) in settings.items():
+            flag = "--" + name.replace("_", "-")
+            if default is not None and kind is not bool:
+                shown = ",".join(map(str, default)) if isinstance(kind, list) else default
+                text = f"{text} (default: {shown})"
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            elif isinstance(kind, list):
+                p.add_argument(flag, type=kind[0], action="append", help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=text)
+            else:
+                p.add_argument(flag, type=None if kind is str else kind, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
-        return args.run(args, cfg)
+        run, _, settings = SETTINGS[args.command]
+        return run(_resolve(args, cfg, settings))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,12 +20,11 @@ import numpy as np
 
 from .exact import (
     DickeVector,
-    dicke_hamiltonian,
+    _collective_matrix,
     dicke_hamiltonian_full,
     fidelity,
     ground_state,
-    sector_ks,
-    stab_state_dicke_amplitudes,
+    s2_candidate_state,
 )
 from .lmg import LmgParams
 from .pauli import PauliHamiltonian, ResourceLimitError, _popcounts
@@ -209,22 +208,24 @@ def variational_jz(
     params: LmgParams, order: int = 1, reference: DickeVector | None = None
 ) -> VariationalResult:
     """Minimize <H> over exp(-theta Jz) (order 1, times exp(-theta2 Jz^2) at
-    order 2) applied to the pair stabilizer state.
+    order 2) applied to a reference, by default the X-pair candidate's state
+    (``s2_candidate_state``).
 
     Jz is diagonal in the collective basis, so the deformation is an
-    amplitude reweighting exp(-theta M - theta2 M^2); optimization is a
-    coarse scan followed by golden-section refinement.
+    amplitude reweighting exp(-theta M - theta2 M^2) that keeps the
+    reference's parity sector; optimization is a coarse scan followed by
+    golden-section refinement.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     n = params.n
-    ks = sector_ks(n)
     if reference is None:
-        reference = stab_state_dicke_amplitudes(n, "s2")
-    if reference.ks != ks:
-        raise ValueError("reference must live on the even-k, (-1)^N sector")
+        reference = s2_candidate_state(params)
+    ks = reference.ks
+    if reference.n != n or len({k % 2 for k in ks}) != 1:
+        raise ValueError("reference must hold n spins on one parity sector, k all even or all odd")
     m_vals = np.array(ks, dtype=float) - n / 2.0
-    h_mat = dicke_hamiltonian(params)
+    h_mat = _collective_matrix(params, ks)
     _, exact_state = ground_state(params)
 
     def deformed(theta1: float, theta2: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .lmg import LmgParams, build_lmg
+from .lmg import LmgParams, build_lmg, negated_pair_completion
 from .pauli import ResourceLimitError, _popcounts, canonical_phase
 from .tableau import STATEVECTOR_QUBIT_LIMIT
 
@@ -201,6 +201,18 @@ def stab_state_dicke_amplitudes(n: int, family: str) -> DickeVector:
     else:
         raise ValueError(f"no collective amplitudes for family {family!r}")
     return DickeVector(n, ks, amps)
+
+
+def s2_candidate_state(params: LmgParams) -> DickeVector:
+    """Collective amplitudes of the X-pair candidate selected at ``params``.
+
+    The even-sector pair state, except where the group completes with -Z1Z2
+    (``negated_pair_completion``, only at n = 2): there the state is
+    (|01> + |10>)/sqrt(2) = |J = 1, M = 0>, in the odd sector.
+    """
+    if negated_pair_completion(params):
+        return DickeVector(2, (1,), [1.0])
+    return stab_state_dicke_amplitudes(params.n, "s2")
 
 
 def fidelity(a, b) -> float:

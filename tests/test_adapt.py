@@ -331,8 +331,6 @@ class TestRunAdapt:
             AdaptConfig(grad_threshold=0.0)
         with pytest.raises(ValueError):
             AdaptConfig(vqe_tol=-1e-8)
-        with pytest.raises(ValueError):
-            AdaptConfig(reference="s3")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_thresholds_must_be_finite(self, value):

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,19 @@ class TestSweep:
         assert float(row["E_exact"]) <= float(row["E_stab_sel"])
         assert row["fid_s2"] == "1"
 
+    def test_varjz_never_above_s2(self, capsys):
+        # varjz deforms the row's s2 state, and the deformation at theta = 0
+        # is that state, so its energy cannot end above E_s2.
+        argv = ["sweep", "--observables", "energies,varjz", "--jobs", "1"]
+        argv += [arg for n in range(2, 7) for arg in ("--n", str(n))]
+        argv += [arg for chi in ("-1", "-0.5", "0", "0.5", "1") for arg in ("--chi", chi)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 5 * 5 * 50
+        for row in rows:
+            assert float(row["E_varjz"]) <= float(row["E_s2"]) + 1e-12, row
+
     def test_s2_cells_describe_the_s2_candidate(self, capsys):
         # fid_s2, S1_s2 and tauN_s2 belong to the state of the group E_s2
         # scores, also at n = 2 with chi > 0, where that state is odd-sector.
@@ -140,6 +154,26 @@ class TestSweep:
         )
         assert code == 2
         assert "vbar-min" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--vbar-min", "5", "--vbar-max", "1"], ["--vbar", "1", "--observables", ""]],
+    )
+    def test_descending_bounds_and_empty_observables_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, ["sweep", "--n", "2", "--jobs", "1"] + flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_equal_bounds_allowed(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--n", "2", "--vbar-min", "5", "--vbar-max", "5", "--vbar-points", "2",
+             "--jobs", "1", "--observables", "energies"],
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["vbar"] for r in rows] == ["5", "5"]
 
     def test_observable_selection_leaves_others_empty(self, capsys):
         code, out, _ = run_cli(
@@ -554,6 +588,60 @@ class TestNumericFlags:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+def setting_cases():
+    for command, (_, _, settings) in cli.SETTINGS.items():
+        for name, (kind, _, _) in settings.items():
+            yield pytest.param(command, name, kind, id=f"{command}-{name}")
+
+
+def flag_and_config_line(name, kind):
+    """One non-default value as flag arguments and as a config line keyed
+    by the flag name."""
+    flag = name.replace("_", "-")
+    if kind is bool:
+        return [f"--{flag}"], f"{flag}=yes"
+    if isinstance(kind, list):
+        values = ["3", "4"] if kind[0] is int else ["0.25", "0.5"]
+        return [arg for v in values for arg in (f"--{flag}", v)], f"{flag}={','.join(values)}"
+    value = kind[0] if isinstance(kind, tuple) else {int: "3", float: "0.25", str: "x"}[kind]
+    return [f"--{flag}", value], f"{flag}={value}"
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command,name,kind", setting_cases())
+    def test_flag_and_config_key_resolve_alike(self, monkeypatch, tmp_path, command, name, kind):
+        _, summary, settings = cli.SETTINGS[command]
+        seen = []
+        monkeypatch.setitem(cli.SETTINGS, command, (seen.append, summary, settings))
+        flag_args, line = flag_and_config_line(name, kind)
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        main([command, *flag_args])
+        main([command, "--config", str(config)])
+        by_flag, by_config = seen
+        assert by_flag == by_config
+        assert by_flag[name] != settings[name][1]
+
+    @pytest.mark.parametrize("command,key", [("prepare", "family"), ("adapt", "reference")])
+    def test_config_choice_checked(self, capsys, tmp_path, command, key):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key}=s3\n")
+        code, out, err = run_cli(capsys, [command, "--n", "3", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and key in err
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [words[1:] for words in lines if words[:1] == ["stabsplit"]]
+        assert {words[0] for words in commands} == set(cli.SETTINGS)
+        parser = cli.build_parser()
+        for words in commands:
+            parser.parse_args(words)
 
 
 class TestEntryPoints:

@@ -394,6 +394,28 @@ class TestVariationalJz:
             stab_state_dicke_amplitudes(8, "s2"), ground_state(params)[1]
         )
 
+    def test_two_spin_default_reference_is_the_s2_candidate(self):
+        # At n = 2 with chi > 0 the s2 candidate is (|01> + |10>)/sqrt(2).
+        result = variational_jz(LmgParams(2, 2.0, 0.5))
+        assert result.state.ks == (1,)
+        assert result.energy == pytest.approx(-1.5, abs=1e-12)
+        assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_odd_sector_reference(self):
+        params = LmgParams(4, 3.0, 0.5)
+        reference = DickeVector(4, (1, 3), np.ones(2) / np.sqrt(2.0))
+        result = variational_jz(params, reference=reference)
+        full = dicke_hamiltonian_full(params)
+
+        def energy(state):
+            amps = np.zeros(5)
+            amps[list(state.ks)] = state.amps
+            return amps @ full @ amps
+
+        assert result.state.ks == (1, 3)
+        assert result.energy == pytest.approx(energy(result.state), abs=1e-12)
+        assert result.energy < energy(reference) - 1e-3
+
     def test_validation(self):
         with pytest.raises(ValueError):
             variational_jz(LmgParams(4, 2.0), order=3)
