@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, _qubit_rows, canonical_phase
+from .pauli import PauliHamiltonian, PauliString, _qubit_rows, _words, canonical_phase
 from .tableau import (
     CliffordGate,
     StabilizerGroup,
@@ -75,19 +75,28 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
     """
     n = params.n
     coupling = -params.vbar / (2.0 * (n - 1))
-    singles = _qubit_rows(n, np.arange(1, n + 1))
-    coeffs, x, z = [np.full(n, 0.5)], [np.zeros_like(singles)], [singles]
+    # Per pair: X_i X_j, then Y_i Y_j unless its coefficient is zero.
+    kinds = []
     if params.vbar > 0 and coupling != 0.0:
-        i, j = np.triu_indices(n, 1)
-        pairs = _qubit_rows(n, i + 1) | _qubit_rows(n, j + 1)
-        # Per pair: X_i X_j, then Y_i Y_j unless its coefficient is zero.
-        kinds = [(coupling, pairs, np.zeros_like(pairs))]
+        kinds.append(coupling)
         if params.chi * coupling != 0.0:
-            kinds.append((params.chi * coupling, pairs, pairs))
-        coeffs.append(np.tile([c for c, _, _ in kinds], len(pairs)))
-        x.append(np.stack([kx for _, kx, _ in kinds], axis=1).reshape(-1, singles.shape[1]))
-        z.append(np.stack([kz for _, _, kz in kinds], axis=1).reshape(-1, singles.shape[1]))
-    return PauliHamiltonian(n, np.concatenate(coeffs), np.concatenate(x), np.concatenate(z))
+            kinds.append(params.chi * coupling)
+    pairs = n * (n - 1) // 2 if kinds else 0
+    total = n + len(kinds) * pairs
+    coeffs = np.full(total, 0.5)
+    x = np.zeros((total, _words(n)), dtype=np.uint64)
+    z = np.zeros_like(x)
+    _qubit_rows(n, np.arange(1, n + 1), out=z[:n])
+    if kinds:
+        i, j = np.triu_indices(n, 1)
+        for k, c in enumerate(kinds):
+            coeffs[n + k :: len(kinds)] = c
+        xx = x[n :: len(kinds)]
+        _qubit_rows(n, i + 1, out=xx)
+        _qubit_rows(n, j + 1, out=xx)
+        if len(kinds) == 2:  # Y_i Y_j: the pair's bits in both x and z
+            x[n + 1 :: 2] = z[n + 1 :: 2] = xx
+    return PauliHamiltonian(n, coeffs, x, z)
 
 
 # -- family builders ---------------------------------------------------------
@@ -173,14 +182,8 @@ def best_family_energy(candidates, family: str) -> float:
     return min(c.energy for c in candidates if c.family == family)
 
 
-def symmetry_breaking_energy(h: PauliHamiltonian, params: LmgParams) -> float:
-    """Energy of the single-pair group {X_1 X_2, -Y_1 Y_2, -Z_k for k > 2}.
-
-    Breaks permutation symmetry; serves as a guard that the symmetric
-    families are never beaten by it.  Equals
-    -(n-2)/2 - vbar (1 - chi) / (2 (n-1)).
-    """
-    n = params.n
+def symmetry_breaking_group(n: int) -> StabilizerGroup:
+    """The single-pair group {X_1 X_2, -Y_1 Y_2, -Z_k for k > 2}."""
     if n < 3:
         raise ValueError("the single-pair family needs n >= 3")
     gens = [
@@ -188,7 +191,17 @@ def symmetry_breaking_energy(h: PauliHamiltonian, params: LmgParams) -> float:
         PauliString.from_ops(n, {1: "Y", 2: "Y"}, phase_exp=2),
     ]
     gens += [PauliString.from_ops(n, {q: "Z"}, phase_exp=2) for q in range(3, n + 1)]
-    return StabilizerGroup(n, tuple(gens)).energy(h)
+    return StabilizerGroup(n, tuple(gens))
+
+
+def symmetry_breaking_energy(h: PauliHamiltonian, params: LmgParams) -> float:
+    """Energy of ``symmetry_breaking_group``.
+
+    Breaks permutation symmetry; serves as a guard that the symmetric
+    families are never beaten by it.  Equals
+    -(n-2)/2 - vbar (1 - chi) / (2 (n-1)).
+    """
+    return symmetry_breaking_group(params.n).energy(h)
 
 
 def select_candidate(

@@ -88,12 +88,54 @@ def _unpack(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
 
 
-def _qubit_rows(n: int, qubits: np.ndarray) -> np.ndarray:
-    """Packed rows with the single bit of each 1-based qubit in ``qubits`` set."""
+def _qubit_rows(n: int, qubits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Packed rows with the single bit of each 1-based qubit in ``qubits`` set.
+
+    With ``out`` (one row per qubit, possibly a strided view) the bits are
+    ORed into it in place instead.
+    """
     pos = n - np.asarray(qubits, dtype=np.int64)
-    rows = np.zeros((len(pos), _words(n)), dtype=np.uint64)
-    rows[np.arange(len(pos)), pos // 64] = np.uint64(1) << (pos % 64).astype(np.uint64)
+    rows = np.zeros((len(pos), _words(n)), dtype=np.uint64) if out is None else out
+    rows[np.arange(len(pos)), pos // 64] |= np.uint64(1) << (pos % 64).astype(np.uint64)
     return rows
+
+
+# Terms are tabulated (``PauliHamiltonian._term_bits``) and evaluated
+# (``StabilizerGroup.expectations``) this many at a time, which bounds the
+# temporaries at any Hamiltonian size.
+_TERM_BLOCK = 4096
+
+
+def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bit position) of every one bit of packed rows, ordered by row."""
+    flat = np.flatnonzero(packed)
+    row, word = np.divmod(flat, packed.shape[1])
+    values = packed.ravel()[flat]
+    rows, bits = [row[:0]], [word[:0]]
+    while len(values):
+        rows.append(row)
+        # values ^ (values - 1) is the lowest one bit and the zeros below it.
+        bits.append(64 * word + np.bitwise_count(values ^ (values - np.uint64(1))) - 1)
+        values = values & (values - np.uint64(1))
+        left = values != 0
+        row, word, values = row[left], word[left], values[left]
+    row, bit = np.concatenate(rows), np.concatenate(bits)
+    order = np.argsort(row, kind="stable")
+    return row[order], bit[order]
+
+
+def _xz_exponent(p: "PauliString") -> int:
+    """The exponent e with p = i^e X^x Z^z; Y = iXZ puts |x & z| into it."""
+    return (p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4
+
+
+def _product_exponent(e1: int, z1: int, e2: int, x2: int) -> int:
+    """Exponent of (i^e1 X^x1 Z^z1)(i^e2 X^x2 Z^z2) = i^e X^(x1^x2) Z^(z1^z2).
+
+    Moving Z^z1 past X^x2 gives (-1)^|z1 & x2|, so e = e1 + e2 + 2 |z1 & x2|
+    mod 4: integer arithmetic on the bit rows, with no ``PauliString``.
+    """
+    return (e1 + e2 + 2 * (z1 & x2).bit_count()) % 4
 
 
 def canonical_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -309,6 +351,30 @@ class PauliHamiltonian:
             (c, PauliString(self.n, x, z, 0))
             for c, x, z in zip(self.coeffs.tolist(), _unpack(self.x), _unpack(self.z))
         )
+
+    @cached_property
+    def _term_bits(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per block of ``_TERM_BLOCK`` terms: each term's set-bit positions
+        and -|x & z|, as int32.
+
+        A position counts through the term's z words, then its x words, 64
+        bits each: the layout of the vectors of ``StabilizerGroup._basis``.
+        Each block pads its rows to its heaviest term, and to at least one
+        column, with 128 * ``_words(n)``, one past the last position.  Built
+        on first use, so every group scored on this instance reads the same
+        table.
+        """
+        pad = 128 * _words(self.n)
+        blocks = []
+        for start in range(0, len(self), _TERM_BLOCK):
+            x, z = self.x[start : start + _TERM_BLOCK], self.z[start : start + _TERM_BLOCK]
+            term, bit = _set_bits(np.concatenate([z, x], axis=1))
+            counts = np.bincount(term, minlength=len(x))
+            slot = np.arange(len(term)) - (np.cumsum(counts) - counts)[term]
+            bits = np.full((len(x), counts.max(initial=1)), pad, dtype=np.int32)
+            bits[term, slot] = bit
+            blocks.append((bits, -np.bitwise_count(x & z).sum(axis=1, dtype=np.int32)))
+        return tuple(blocks)
 
     def subset(self, keep: np.ndarray) -> "PauliHamiltonian":
         """The terms where the boolean mask ``keep`` is true, in order."""

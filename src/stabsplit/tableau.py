@@ -4,16 +4,19 @@ A stabilizer group on n qubits is held as n signed, pairwise commuting,
 independent Hermitian Pauli generators.  Membership queries run over GF(2)
 with exact sign tracking, so Pauli expectations in a stabilizer state are
 returned exactly as -1, 0, or +1, one string at a time or for every term of
-a Hamiltonian in one batched numpy pass.  Statevector extraction multiplies the
-projectors (1 + g)/2 onto a compatible computational basis state, and the
-graph-state reduction brings the generator matrix to (identity | adjacency)
-form with tracked local Cliffords.
+a Hamiltonian at once.  The reduced basis is eliminated on int rows with int
+phase exponents; the batched path reads the Hamiltonian's term-bit table and
+gathers anticommutation columns, basis-row phases and pairwise overlaps at
+each term's set bits, a fixed number per term.  Statevector extraction
+multiplies the projectors (1 + g)/2 onto a compatible computational basis
+state, and the graph-state reduction brings the generator matrix to
+(identity | adjacency) form with tracked local Cliffords.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -24,7 +27,9 @@ from .pauli import (
     canonical_phase,
     _indices,
     _pack,
+    _product_exponent,
     _words,
+    _xz_exponent,
 )
 
 STATEVECTOR_QUBIT_LIMIT = 14
@@ -138,13 +143,6 @@ def apply_local_label(vec: np.ndarray, n: int, qubit: int, label: str) -> np.nda
     return _apply_single_qubit(vec, n, qubit, mat)
 
 
-# Terms are evaluated this many at a time, which bounds the
-# temporaries of ``StabilizerGroup.expectations`` at any Hamiltonian size.
-_TERM_BLOCK = 4096
-# Rows per block of the pairwise overlap products in ``_odd_overlaps``.
-_ROW_BLOCK = 64
-
-
 def _bit_positions(value: int):
     """Positions of the one bits of a nonnegative int, lowest first."""
     while value:
@@ -153,32 +151,31 @@ def _bit_positions(value: int):
         value ^= low
 
 
-def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, bit position) of every one bit of packed rows, ordered by row."""
-    row, word = np.nonzero(packed)
-    values = packed[row, word]
-    rows, bits = [row[:0]], [word[:0]]
-    while len(values):
-        rows.append(row)
-        # values ^ (values - 1) is the lowest one bit and the zeros below it.
-        bits.append(64 * word + np.bitwise_count(values ^ (values - np.uint64(1))) - 1)
-        values = values & (values - np.uint64(1))
-        left = values != 0
-        row, word, values = row[left], word[left], values[left]
-    row, bit = np.concatenate(rows), np.concatenate(bits)
-    order = np.argsort(row, kind="stable")
-    return row[order], bit[order]
+def _columns(rows: list[int]) -> dict[int, int]:
+    """The nonzero bit columns of int rows: bit c -> mask of the rows holding
+    it."""
+    columns: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        for c in _bit_positions(row):
+            columns[c] = columns.get(c, 0) | 1 << i
+    return columns
 
 
-def _odd_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Parity of |a_i & b_j| for every pair of packed rows, as a uint8 matrix."""
-    out = np.empty((len(a), len(b)), dtype=np.uint8)
-    for start in range(0, len(a), _ROW_BLOCK):
-        both = a[start : start + _ROW_BLOCK, None, :] & b[None, :, :]
-        out[start : start + _ROW_BLOCK] = np.bitwise_count(
-            np.bitwise_xor.reduce(both, axis=-1)
-        ) & 1
-    return out
+def _odd_overlaps(a: list[int], b: list[int]) -> np.ndarray:
+    """Parity of |a_i & b_j| for every pair of int rows, as a uint8 matrix.
+
+    Row j of the transposed result is the XOR of the columns of ``a`` at the
+    set bits of ``b_j``, so the work follows the one bits.
+    """
+    columns = _columns(a)
+    rows = []
+    for row in b:
+        acc = 0
+        for c in _bit_positions(row):
+            acc ^= columns.get(c, 0)
+        rows.append(acc)
+    bits = np.unpackbits(_pack(rows, _words(len(a))).view(np.uint8), axis=1, bitorder="little")
+    return bits[:, : len(a)].T
 
 
 @dataclass(frozen=True)
@@ -200,10 +197,7 @@ class StabilizerGroup:
                 raise ValueError(f"generator {g.render()} is not Hermitian")
             if g.x_bits == 0 and g.z_bits == 0:
                 raise ValueError("identity cannot be a generator")
-        words = _words(self.n)
-        x = _pack([g.x_bits for g in gens], words)
-        z = _pack([g.z_bits for g in gens], words)
-        overlaps = _odd_overlaps(x, z)
+        overlaps = _odd_overlaps([g.x_bits for g in gens], [g.z_bits for g in gens])
         anticommuting = np.argwhere(np.triu(overlaps ^ overlaps.T, 1))
         if len(anticommuting):
             i, j = anticommuting[0]
@@ -234,27 +228,44 @@ class StabilizerGroup:
 
         Vectors pack (x_bits << 64 w) | z_bits with w = ``_words(n)``, so as
         uint64 words they are the z row followed by the x row (see
-        ``expectations``).  Each vector has a one at its own pivot and zeros at
-        every other pivot, so a vector in the span is the XOR of the rows at its
-        set pivot bits.  Each stored element is the exact signed product of
-        original generators whose vectors XOR to ``vector``.
+        ``expectations``).  Each vector has a one at its own pivot, its highest
+        bit, and zeros at every other pivot, so a vector in the span is the XOR
+        of the rows at its set pivot bits.  Each stored element is the exact
+        signed product of original generators whose vectors XOR to ``vector``.
+
+        The elimination runs on int rows: each row is i^e X^x Z^z with an int
+        exponent e, and a product of rows is one ``_product_exponent``.  The
+        rows holding a bit are read from a per-bit mask over the pivots, so
+        clearing a new pivot touches only those rows.  The elements become
+        ``PauliString``s once, at the end.
         """
-        basis: dict[int, tuple[int, PauliString]] = {}
         shift = 64 * _words(self.n)
+        low = (1 << shift) - 1
+        vecs: dict[int, int] = {}  # pivot -> vector
+        exps: dict[int, int] = {}  # pivot -> exponent e of i^e X^x Z^z
+        holders: dict[int, int] = {}  # bit -> mask of the pivots whose rows hold it
+        pivots = 0
         for g in self.generators:
-            vec, prod = (g.x_bits << shift) | g.z_bits, g
-            for bit in _bit_positions(vec):
-                if bit in basis:
-                    bvec, bprod = basis[bit]
-                    vec ^= bvec
-                    prod = prod * bprod
+            vec, e = (g.x_bits << shift) | g.z_bits, _xz_exponent(g)
+            for p in _bit_positions(vec & pivots):
+                e = _product_exponent(e, vec & low, exps[p], vecs[p] >> shift)
+                vec ^= vecs[p]
             if not vec:
                 raise ValueError("generators are not independent")
             pivot = vec.bit_length() - 1
-            for other, (bvec, bprod) in list(basis.items()):
-                if (bvec >> pivot) & 1:
-                    basis[other] = (bvec ^ vec, bprod * prod)
-            basis[pivot] = (vec, prod)
+            hit = holders.get(pivot, 0)
+            for p in _bit_positions(hit):
+                exps[p] = _product_exponent(exps[p], vecs[p] & low, e, vec >> shift)
+                vecs[p] ^= vec
+            # The rows in ``hit`` took on vec's bits, and the new row holds them.
+            for bit in _bit_positions(vec):
+                holders[bit] = holders.get(bit, 0) ^ hit ^ (1 << pivot)
+            vecs[pivot], exps[pivot] = vec, e
+            pivots |= 1 << pivot
+        basis = {}
+        for pivot, vec in vecs.items():
+            x, z = vec >> shift, vec & low
+            basis[pivot] = (vec, PauliString(self.n, x, z, exps[pivot] - (x & z).bit_count()))
         return basis
 
     def expectation(self, p: PauliString) -> int:
@@ -281,52 +292,55 @@ class StabilizerGroup:
     def expectations(self, h: PauliHamiltonian) -> np.ndarray:
         """Exact expectations of every term of ``h``, as int8 -1, 0 or +1.
 
-        Batched form of ``expectation`` on the same reduced basis.  A term's
-        decomposition is the set of basis rows at its set pivot bits; it lies
-        in the group when those rows XOR to it.  The product of the rows, each
-        written i^e_k X^x_k Z^z_k, is i^(sum e_k + 2 sum_{a<b} |z_a & x_b|)
-        X^x Z^z, and the term is i^|x & z| X^x Z^z, so the sign is read from
-        that exponent minus |x & z|, mod 4 (Aaronson and Gottesman, PRA 70,
-        052328 (2004)).  The terms are read from ``h.x`` and ``h.z`` one
-        fixed-size block at a time.
+        Batched form of ``expectation``, one block of ``h``'s term-bit table
+        at a time, each step a fixed-width gather over the block.
+
+        Membership: the group has n independent commuting generators on n
+        qubits, so a Pauli lies in it up to sign exactly when it commutes with
+        every generator.  Column b of the anticommutation table marks the
+        generators that anticommute with the single bit b; a term's syndrome
+        is the XOR of the columns at its set bits and must be all zero.
+
+        Sign: a member is the product of the reduced basis rows at its set
+        pivot bits.  The product of rows i^e_k X^x_k Z^z_k is
+        i^(sum e_k + 2 sum_{a<b} |z_a & x_b|) X^x Z^z, and the term is
+        i^|x & z| X^x Z^z, so the sign is read from that exponent minus
+        |x & z|, mod 4 (Aaronson and Gottesman, PRA 70, 052328 (2004)).
         """
         if h.n != self.n:
             raise ValueError("qubit count mismatch")
         n, half = self.n, _words(self.n)
-        words = 2 * half
-        vecs, elems = zip(*self._basis.values())
-        # Basis row n is padding: a zero row with no phase and no overlaps.
-        row_vecs = np.zeros((n + 1, words), dtype=np.uint64)
-        row_vecs[:n] = _pack(vecs, words)
-        row_phase = np.zeros(n + 1, dtype=np.int64)
-        row_phase[:n] = [g.phase_exp + (g.x_bits & g.z_bits).bit_count() for g in elems]
-        zx = np.zeros((n + 1, n + 1), dtype=np.int64)
-        zx[:n, :n] = _odd_overlaps(
-            _pack([g.z_bits for g in elems], half), _pack([g.x_bits for g in elems], half)
-        )
-        row_at = np.full(64 * words, -1, dtype=np.intp)
-        row_at[list(self._basis)] = np.arange(n)
+        # Row b marks the generators that anticommute with the single bit b;
+        # row 128 half, the table's pad, is zero.
+        anti = _columns([(g.z_bits << 64 * half) | g.x_bits for g in self.generators])
+        columns = np.zeros((128 * half + 1, half), dtype=np.uint64)
+        columns[list(anti)] = _pack(anti.values(), half)
 
-        out = np.empty(len(h), dtype=np.int8)
-        for start in range(0, len(h), _TERM_BLOCK):
-            x, z = h.x[start : start + _TERM_BLOCK], h.z[start : start + _TERM_BLOCK]
-            term_vecs = np.concatenate([z, x], axis=1)
-            term, bit = _set_bits(term_vecs)
-            row = row_at[bit]
-            term, row = term[row >= 0], row[row >= 0]
-            counts = np.bincount(term, minlength=len(x))
-            slot = np.arange(len(term)) - (np.cumsum(counts) - counts)[term]
-            chosen = np.full((len(x), counts.max(initial=0)), n)
-            chosen[term, slot] = row
-            acc = np.zeros_like(term_vecs)
-            phase = -np.bitwise_count(x & z).sum(axis=1, dtype=np.int64)
-            for a in range(chosen.shape[1]):
-                acc ^= row_vecs[chosen[:, a]]
-                phase += row_phase[chosen[:, a]]
+        elems = [elem for _, elem in self._basis.values()]
+        # Basis row n is padding: no phase and no overlaps.  Every position
+        # that is not a pivot, the table's pad included, reads it.
+        row_at = np.full(128 * half + 1, n, dtype=np.intp)
+        row_at[list(self._basis)] = np.arange(n)
+        row_phase = np.zeros(n + 1, dtype=np.int32)
+        row_phase[:n] = [_xz_exponent(g) for g in elems]
+        zx = np.zeros((n + 1, n + 1), dtype=np.uint8)
+        zx[:n, :n] = _odd_overlaps([g.z_bits for g in elems], [g.x_bits for g in elems])
+        zx = zx.ravel()
+
+        out = np.zeros(len(h), dtype=np.int8)
+        start = 0
+        for bits, phase in h._term_bits:
+            syndrome = np.take(columns, bits[:, 0], axis=0)
+            for a in range(1, bits.shape[1]):
+                syndrome ^= np.take(columns, bits[:, a], axis=0)
+            member = np.flatnonzero(reduce(np.bitwise_or, syndrome.T) == 0)
+            rows, phase = row_at[bits[member]], phase[member]
+            for a in range(rows.shape[1]):
+                phase += row_phase[rows[:, a]]
                 for b in range(a):
-                    phase += 2 * zx[chosen[:, b], chosen[:, a]]
-            member = (acc == term_vecs).all(axis=1)
-            out[start : start + len(x)] = np.where(member, 1 - phase % 4, 0)
+                    phase += 2 * zx[rows[:, b] * (n + 1) + rows[:, a]]
+            out[start + member] = 1 - (phase & 2)
+            start += len(bits)
         return out
 
     def energy(self, h: PauliHamiltonian) -> float:

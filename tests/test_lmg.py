@@ -21,6 +21,7 @@ from stabsplit.lmg import (
     select_split,
     split_around,
     symmetry_breaking_energy,
+    symmetry_breaking_group,
 )
 from stabsplit.pauli import PauliHamiltonian, PauliString
 from stabsplit.tableau import apply_circuit
@@ -280,6 +281,35 @@ class TestSymmetryBreakingGuard:
             got = symmetry_breaking_energy(build_lmg(params), params)
             want = -(n - 2) / 2 - vbar * (1 - chi) / (2 * (n - 1))
             assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestLargeN:
+    """Closed forms at N = 200 and N = 257 (five words per row)."""
+
+    @pytest.mark.parametrize("n", [200, 257])
+    @pytest.mark.parametrize("chi", [-1.0, 0.0, 0.5])
+    def test_closed_form_energies(self, n, chi):
+        vbar = 10.0
+        params = LmgParams(n, vbar, chi)
+        h = build_lmg(params)
+        energies = {c.family: c.energy for c in candidate_groups(h, params)}
+        assert energies["s1"] == pytest.approx(-n / 2, rel=1e-12)
+        assert energies["s2"] == pytest.approx(-n * vbar / 4, rel=1e-12)
+        guard = -(n - 2) / 2 - vbar * (1 - chi) / (2 * (n - 1))
+        assert symmetry_breaking_energy(h, params) == pytest.approx(guard, rel=1e-12)
+
+    def test_subset_reads_its_own_term_table(self):
+        # Each Hamiltonian builds its own table: scoring the subset first or
+        # second gives the full expectations at the kept terms.
+        params = LmgParams(200, 10.0, 0.5)
+        keep = np.random.default_rng(5).random(len(build_lmg(params))) < 0.3
+        groups = [c.group for c in candidate_groups(build_lmg(params), params)]
+        for g in [*groups, symmetry_breaking_group(200)]:
+            h = build_lmg(params)
+            sub = h.subset(keep)
+            first = g.expectations(sub)
+            assert np.array_equal(first, g.expectations(h)[keep])
+            assert np.array_equal(g.expectations(h.subset(keep)), first)
 
 
 class TestPreparation:

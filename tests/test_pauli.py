@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stabsplit.adapt import pool
 from stabsplit.lmg import LmgParams, build_lmg
@@ -10,7 +11,9 @@ from stabsplit.pauli import (
     PauliString,
     ResourceLimitError,
     _popcounts,
+    _product_exponent,
     _sign_vector,
+    _xz_exponent,
     canonical_phase,
 )
 
@@ -119,6 +122,49 @@ class TestCommutation:
         n = 2
         assert PauliString.parse("+X1", n).commutes(PauliString.parse("+X1X2", n))
         assert not PauliString.parse("+Z1", n).commutes(PauliString.parse("+X1X2", n))
+
+
+def strings(n):
+    """Any Pauli string on n qubits, with any of the four phases."""
+    bits = st.integers(0, (1 << n) - 1)
+    return st.builds(PauliString, st.just(n), bits, bits, st.integers(0, 3))
+
+
+def string_pairs(min_n, max_n):
+    return st.integers(min_n, max_n).flatmap(lambda n: st.tuples(strings(n), strings(n)))
+
+
+class TestAlgebraProperties:
+    """Products, phases and commutation against dense matrices, and the
+    integer phase rule of the tableau elimination against ``__mul__``."""
+
+    @given(strings(1) | strings(2) | strings(3) | strings(4))
+    def test_dense_is_phase_times_letters(self, p):
+        letters = "".join(p.letter(q) for q in range(1, p.n + 1))
+        assert p.phase == 1j**p.phase_exp
+        assert np.array_equal(p.dense(), dense_oracle(letters, p.phase))
+        assert p.is_hermitian == np.array_equal(p.dense(), p.dense().conj().T)
+
+    @given(string_pairs(1, 4))
+    def test_product_matches_dense(self, pair):
+        a, b = pair
+        assert np.array_equal((a * b).dense(), a.dense() @ b.dense())
+        assert 0 <= (a * b).phase_exp < 4
+
+    @given(string_pairs(1, 4))
+    def test_commutes_matches_dense(self, pair):
+        a, b = pair
+        ab, ba = a.dense() @ b.dense(), b.dense() @ a.dense()
+        assert a.commutes(b) == np.array_equal(ab, ba)
+        assert a.commutes(b) != np.array_equal(ab, -ba)
+
+    @given(string_pairs(63, 129))
+    def test_integer_phase_rule_matches_product(self, pair):
+        a, b = pair
+        e = _product_exponent(_xz_exponent(a), a.z_bits, _xz_exponent(b), b.x_bits)
+        product = a * b
+        assert (product.x_bits, product.z_bits) == (a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits)
+        assert product.phase_exp == (e - (product.x_bits & product.z_bits).bit_count()) % 4
 
 
 class TestParseRender:

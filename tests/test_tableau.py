@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stabsplit.lmg import LmgParams, build_lmg, candidate_groups
+from stabsplit.lmg import LmgParams, build_lmg, candidate_groups, symmetry_breaking_group
 from test_lmg import reference_candidates
-from stabsplit.pauli import PauliHamiltonian, PauliString, canonical_phase
+from stabsplit.pauli import PauliHamiltonian, PauliString, _words, canonical_phase
 from stabsplit.tableau import (
     CliffordGate,
     StabilizerGroup,
+    _odd_overlaps,
     apply_circuit,
     apply_gate,
     conjugate_pauli,
@@ -254,6 +255,95 @@ class TestBatchedExpectations:
         empty = PauliHamiltonian.from_terms(2, ())
         assert g.expectations(empty).shape == (0,)
         assert g.energy(empty) == 0.0
+
+
+def reference_basis(group):
+    """The reduced basis by Gauss-Jordan on ``PauliString`` products: pivot
+    bit -> (vector, signed element), pivots in the order they appear.  Each
+    generator is reduced by the rows at its set pivot bits; its highest
+    remaining bit becomes a pivot, and every earlier row holding that bit
+    takes the new row in, as a vector XOR and a group product."""
+    basis = {}
+    shift = 64 * _words(group.n)
+    for g in group.generators:
+        vec, prod = (g.x_bits << shift) | g.z_bits, g
+        for bit in [b for b in range(vec.bit_length()) if (vec >> b) & 1]:
+            if bit in basis:
+                bvec, bprod = basis[bit]
+                vec ^= bvec
+                prod = prod * bprod
+        assert vec, "generators are independent"
+        pivot = vec.bit_length() - 1
+        for other, (bvec, bprod) in list(basis.items()):
+            if (bvec >> pivot) & 1:
+                basis[other] = (bvec ^ vec, bprod * prod)
+        basis[pivot] = (vec, prod)
+    return basis
+
+
+def assert_basis_matches_reference(group):
+    assert list(group._basis.items()) == list(reference_basis(group).items())
+
+
+class TestBasisMatchesReference:
+    """The int-row elimination against ``PauliString`` products: the same
+    pivots in the same order, the same vectors and the same signed elements."""
+
+    @given(conjugated_graph_states())
+    def test_random_groups(self, group):
+        assert_basis_matches_reference(group)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 100])
+    def test_dense_groups_across_words(self, n):
+        rng = np.random.default_rng(700 + n)
+        assert_basis_matches_reference(random_group(rng, n, depth=6 * n))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 200])
+    def test_lmg_candidates_and_guard(self, n):
+        for chi in (-1.0, 0.5):
+            params = LmgParams(n, 3.0, chi)
+            for cand in candidate_groups(build_lmg(params), params):
+                assert_basis_matches_reference(cand.group)
+        assert_basis_matches_reference(symmetry_breaking_group(n))
+
+
+def packed_rows(words):
+    return st.lists(st.integers(0, (1 << 64 * words) - 1), min_size=1, max_size=12)
+
+
+class TestOddOverlaps:
+    @given(st.integers(1, 3).flatmap(lambda w: st.tuples(st.just(w), packed_rows(w), packed_rows(w))))
+    def test_matches_int_popcounts(self, case):
+        words, a, b = case
+        got = _odd_overlaps(a, b)
+        want = [[(ai & bj).bit_count() % 2 for bj in b] for ai in a]
+        assert got.tolist() == want
+
+
+class TestTermBits:
+    """Each Hamiltonian's table of set-bit positions and -|x & z|."""
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 100])
+    def test_matches_strings(self, n):
+        # n = 100 gives 19,900 terms: five blocks, the last one partial.
+        h = build_lmg(LmgParams(n, 2.0, 0.5))
+        half = _words(n)
+        terms = iter(h.terms)
+        for bits, minus_y in h._term_bits:
+            assert bits.dtype == minus_y.dtype == np.int32 and bits.shape[1] >= 1
+            for row, count in zip(bits.tolist(), minus_y.tolist()):
+                _, s = next(terms)
+                vec = (s.x_bits << 64 * half) | s.z_bits
+                assert sorted(b for b in row if b != 128 * half) == [
+                    b for b in range(vec.bit_length()) if (vec >> b) & 1
+                ]
+                assert count == -(s.x_bits & s.z_bits).bit_count()
+        assert next(terms, None) is None
+
+    def test_identity_only_block_has_one_pad_column(self):
+        h = PauliHamiltonian.from_terms(3, [(1.0, PauliString.identity(3))])
+        ((bits, minus_y),) = h._term_bits
+        assert bits.tolist() == [[128]] and minus_y.tolist() == [0]
 
 
 class TestConjugation:
