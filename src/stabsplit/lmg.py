@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, _qubit_rows, _words, canonical_phase
+from .pauli import PauliHamiltonian, PauliString, _set_qubit_bits, _words, canonical_phase
 from .tableau import (
     CliffordGate,
     StabilizerGroup,
@@ -81,19 +81,18 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
         kinds.append(coupling)
         if params.chi * coupling != 0.0:
             kinds.append(params.chi * coupling)
-    pairs = n * (n - 1) // 2 if kinds else 0
-    total = n + len(kinds) * pairs
+    total = n + len(kinds) * n * (n - 1) // 2
     coeffs = np.full(total, 0.5)
     x = np.zeros((total, _words(n)), dtype=np.uint64)
     z = np.zeros_like(x)
-    _qubit_rows(n, np.arange(1, n + 1), out=z[:n])
+    _set_qubit_bits(z[:n], n, np.arange(1, n + 1))
     if kinds:
         i, j = np.triu_indices(n, 1)
         for k, c in enumerate(kinds):
             coeffs[n + k :: len(kinds)] = c
         xx = x[n :: len(kinds)]
-        _qubit_rows(n, i + 1, out=xx)
-        _qubit_rows(n, j + 1, out=xx)
+        _set_qubit_bits(xx, n, i + 1)
+        _set_qubit_bits(xx, n, j + 1)
         if len(kinds) == 2:  # Y_i Y_j: the pair's bits in both x and z
             x[n + 1 :: 2] = z[n + 1 :: 2] = xx
     return PauliHamiltonian(n, coeffs, x, z)

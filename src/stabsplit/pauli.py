@@ -88,16 +88,11 @@ def _unpack(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
 
 
-def _qubit_rows(n: int, qubits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Packed rows with the single bit of each 1-based qubit in ``qubits`` set.
-
-    With ``out`` (one row per qubit, possibly a strided view) the bits are
-    ORed into it in place instead.
-    """
+def _set_qubit_bits(rows: np.ndarray, n: int, qubits: np.ndarray) -> None:
+    """OR the bit of 1-based qubit ``qubits[k]`` into packed row k of ``rows``,
+    which may be a strided view."""
     pos = n - np.asarray(qubits, dtype=np.int64)
-    rows = np.zeros((len(pos), _words(n)), dtype=np.uint64) if out is None else out
     rows[np.arange(len(pos)), pos // 64] |= np.uint64(1) << (pos % 64).astype(np.uint64)
-    return rows
 
 
 # Terms are tabulated (``PauliHamiltonian._term_bits``) and evaluated

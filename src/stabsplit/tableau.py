@@ -227,8 +227,8 @@ class StabilizerGroup:
         group element).
 
         Vectors pack (x_bits << 64 w) | z_bits with w = ``_words(n)``, so as
-        uint64 words they are the z row followed by the x row (see
-        ``expectations``).  Each vector has a one at its own pivot, its highest
+        uint64 words they are the z row followed by the x row, the layout of
+        the positions in ``PauliHamiltonian._term_bits``.  Each vector has a one at its own pivot, its highest
         bit, and zeros at every other pivot, so a vector in the span is the XOR
         of the rows at its set pivot bits.  Each stored element is the exact
         signed product of original generators whose vectors XOR to ``vector``.
