@@ -327,20 +327,38 @@ def _energy_and_gradient(dense, reference, chosen, angles) -> tuple[float, np.nd
     return energy, _backward(lam, states, chosen, angles)
 
 
-# BFGS iterations allowed per angle. Growth at n = 8, vbar = 5 to 110 layers
-# peaks at about 6 per angle and n = 4..6 runs at about 14, so reaching the
-# cap means the optimizer broke down.
+# BFGS iterations allowed per angle. With the carried inverse Hessian, growth
+# at n = 8, vbar = 5 to 110 layers peaks at about 5.5 per angle, and 40-layer
+# runs at n = 4..6 (chi in {-1, 0, 0.5}, vbar in {0.5, 2, 5}) at about 9, so
+# reaching the cap means the optimizer broke down.
 _BFGS_ITERS_PER_ANGLE = 50
+# A curvature pair with s.y at or below this is skipped by the update.
+_MIN_CURVATURE = 1e-16
+# A carried inverse Hessian is replaced by the identity when an accepted step
+# lowers the energy by less than this fraction of its linear prediction.
+_RESET_DROP_RATIO = 1e-3
 
 
-def _reoptimize(dense, reference, chosen, angles, vqe_tol: float) -> float:
-    """BFGS over all angles; updates angles in place, returns the energy.
+def _reoptimize(
+    dense, reference, chosen, angles, vqe_tol: float, carried: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """BFGS over all angles; updates angles in place, returns the energy
+    and the final inverse Hessian.
 
     A dense inverse Hessian with a backtracking Armijo line search; stops
     when an accepted step lowers the energy by less than vqe_tol, or when
     no step lowers it at all. Every accepted step lowers the energy, so the
     result never lies above the starting point. Raises AdaptError at the
     iteration cap.
+
+    carried is the inverse Hessian the previous growth step ended with, one
+    angle short, or None. None is the cold start: the identity, rescaled by
+    s.y / y.y at the first update. A carried matrix is extended by the new
+    angle with zero off-diagonal entries and the mean of its diagonal. While
+    it is in use, an accepted step with s.y <= _MIN_CURVATURE, or one that
+    lowers the energy by less than _RESET_DROP_RATIO of -step * slope,
+    replaces it by the identity and skips that update, so the next update
+    rescales as in the cold start; this happens at most once per call.
 
     A line-search trial runs the forward pass and the energy only; the
     backward pass runs once at the start and once per accepted step, never
@@ -351,9 +369,15 @@ def _reoptimize(dense, reference, chosen, angles, vqe_tol: float) -> float:
     energy, grad = _energy_and_gradient(dense, reference, chosen, x)
     if not math.isfinite(energy):
         raise AdaptError("angle re-optimization produced a non-finite energy")
-    inv_hess = np.eye(len(x))
+    if carried is None:
+        inv_hess = np.eye(len(x))
+    else:
+        inv_hess = np.zeros((len(x), len(x)))
+        inv_hess[:-1, :-1] = carried
+        inv_hess[-1, -1] = np.mean(np.diag(carried))
+    rescale = carried is None
     cap = _BFGS_ITERS_PER_ANGLE * len(x)
-    for iteration in range(cap):
+    for _ in range(cap):
         direction = -inv_hess @ grad
         slope = float(grad @ direction)
         if not slope < 0.0:
@@ -376,17 +400,25 @@ def _reoptimize(dense, reference, chosen, angles, vqe_tol: float) -> float:
         if drop < vqe_tol:
             break
         sy = float(s_vec @ y_vec)
-        if sy > 1e-16:
-            if iteration == 0:
+        if carried is not None and (
+            sy <= _MIN_CURVATURE or drop < _RESET_DROP_RATIO * -step * slope
+        ):
+            inv_hess = np.eye(len(x))
+            carried = None
+            rescale = True
+            continue
+        if sy > _MIN_CURVATURE:
+            if rescale:
                 inv_hess *= sy / float(y_vec @ y_vec)
             h_y = inv_hess @ y_vec
             inv_hess += (sy + float(y_vec @ h_y)) / sy**2 * np.outer(s_vec, s_vec)
             inv_hess -= (np.outer(h_y, s_vec) + np.outer(s_vec, h_y)) / sy
+        rescale = False
     else:
         angles[:] = x.tolist()
         raise AdaptError(f"angle re-optimization hit its cap of {cap} BFGS iterations")
     angles[:] = x.tolist()
-    return energy
+    return energy, inv_hess
 
 
 def run_adapt(
@@ -395,7 +427,8 @@ def run_adapt(
     """Grow the ansatz until gradients vanish or the layer budget runs out.
 
     Loop: score every pool element by its gradient, add the largest in
-    magnitude as a new layer at angle zero, re-optimize all angles, record
+    magnitude as a new layer at angle zero, re-optimize all angles (BFGS
+    started from the inverse Hessian the previous layer ended with), record
     energy and fidelity against the exact (parity-matched) ground state.
     """
     if config is None:
@@ -411,6 +444,7 @@ def run_adapt(
     chosen: list[PoolOperator] = []
     angles: list[float] = []
     state = ref
+    inv_hess = None
 
     def record(label: str, grad: float, energy: float):
         trace.layers.append(
@@ -432,7 +466,7 @@ def run_adapt(
         chosen.append(op)
         angles.append(0.0)
         try:
-            energy = _reoptimize(dense, ref, chosen, angles, config.vqe_tol)
+            energy, inv_hess = _reoptimize(dense, ref, chosen, angles, config.vqe_tol, inv_hess)
         except AdaptError as err:
             trace.state = apply_ansatz(ref, chosen, angles)
             err.trace = trace

@@ -19,6 +19,7 @@ from stabsplit.adapt import (
     pool,
     run_adapt,
 )
+from stabsplit.cli import main
 from stabsplit.exact import dense_ground_state, fidelity
 from stabsplit.lmg import LmgParams, build_lmg, pair_family_group
 from stabsplit.metrics import parity_expectation
@@ -413,14 +414,24 @@ def reference_energy_and_gradient(dense, reference, chosen, angles):
     return energy, grad
 
 
-def reference_reoptimize(dense, reference, chosen, angles, vqe_tol):
-    """The BFGS loop with a gradient at every trial; returns the energy and
-    the numbers of accepted and rejected line-search trials."""
-    accepted = rejected = 0
+def reference_reoptimize(dense, reference, chosen, angles, vqe_tol, carried=None):
+    """The BFGS loop with a gradient at every trial, carrying the previous
+    layer's inverse Hessian under the same reset rule; returns the energy,
+    the final inverse Hessian and the numbers of accepted and rejected
+    line-search trials and of resets."""
+    accepted = rejected = resets = 0
     x = np.array(angles, dtype=float)
     energy, grad = reference_energy_and_gradient(dense, reference, chosen, x)
-    inv_hess = np.eye(len(x))
-    for iteration in range(adapt_module._BFGS_ITERS_PER_ANGLE * len(x)):
+    size = len(x)
+    if carried is None:
+        inv_hess = np.eye(size)
+        fresh = 0  # the iteration whose update rescales the identity
+    else:
+        inv_hess = np.zeros((size, size))
+        inv_hess[: size - 1, : size - 1] = carried
+        inv_hess[size - 1, size - 1] = np.mean(np.diag(carried))
+        fresh = None
+    for iteration in range(adapt_module._BFGS_ITERS_PER_ANGLE * size):
         direction = -inv_hess @ grad
         slope = float(grad @ direction)
         if not slope < 0.0:
@@ -445,14 +456,19 @@ def reference_reoptimize(dense, reference, chosen, angles, vqe_tol):
         if drop < vqe_tol:
             break
         sy = float(s_vec @ y_vec)
+        if fresh is None and (sy <= 1e-16 or drop < 1e-3 * (-step * slope)):
+            inv_hess = np.eye(size)
+            fresh = iteration + 1
+            resets += 1
+            continue
         if sy > 1e-16:
-            if iteration == 0:
+            if iteration == fresh:
                 inv_hess *= sy / float(y_vec @ y_vec)
             h_y = inv_hess @ y_vec
             inv_hess += (sy + float(y_vec @ h_y)) / sy**2 * np.outer(s_vec, s_vec)
             inv_hess -= (np.outer(h_y, s_vec) + np.outer(s_vec, h_y)) / sy
     angles[:] = x.tolist()
-    return energy, accepted, rejected
+    return energy, inv_hess, accepted, rejected, resets
 
 
 SPECIAL_ANGLES = (0.0, -0.0, np.pi / 4, -np.pi / 4, np.pi, -np.pi)
@@ -560,9 +576,10 @@ class TestTableKernel:
 
 class TestLineSearchCalls:
     def test_backward_pass_only_on_accepted_steps(self, monkeypatch):
-        # Replays every re-optimization of an N = 6 growth: one backward pass
-        # at the start and one per accepted step, a forward pass per trial,
-        # and the reference loop's angles and energy bit for bit.
+        # Replays every re-optimization of an N = 6 growth, carrying the
+        # inverse Hessian from layer to layer: one backward pass at the start
+        # and one per accepted step, a forward pass per trial, and the
+        # reference loop's angles, energy and inverse Hessian bit for bit.
         calls = {"forward": 0, "backward": 0}
 
         def counted(name, func):
@@ -580,21 +597,78 @@ class TestLineSearchCalls:
         trace = run_adapt(h, reference, AdaptConfig(max_layers=6))
         label_map = {op.label: op for op in pool(6)}
         chosen = []
+        inv_hess = ref_inv_hess = None
         total_rejected = 0
         for before, record in zip(trace.layers, trace.layers[1:]):
             chosen.append(label_map[record.label])
             angles = list(before.angles) + [0.0]
             ref_angles = list(angles)
-            ref_energy, accepted, rejected = reference_reoptimize(
-                dense, reference, chosen, ref_angles, 1e-12
+            ref_energy, ref_inv_hess, accepted, rejected, _ = reference_reoptimize(
+                dense, reference, chosen, ref_angles, 1e-12, ref_inv_hess
             )
             calls.update(forward=0, backward=0)
-            energy = adapt_module._reoptimize(dense, reference, chosen, angles, 1e-12)
+            energy, inv_hess = adapt_module._reoptimize(
+                dense, reference, chosen, angles, 1e-12, inv_hess
+            )
             assert calls == {"forward": 1 + accepted + rejected, "backward": 1 + accepted}
             assert energy == ref_energy == record.energy
             assert angles == ref_angles == list(record.angles)
+            assert same_bits(inv_hess, ref_inv_hess)
             total_rejected += rejected
         assert total_rejected > 0
+
+
+class TestWarmStart:
+    """Each growth step starts BFGS from the inverse Hessian of the step
+    before, and falls back to the identity when that matrix misleads."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_no_cap_at_the_risk_points(self, n):
+        # Without the reset rule, N = 6, chi = 0, vbar = 0.5 from the
+        # product state hits the iteration cap.
+        for chi in (-1.0, 0.0, 0.5):
+            for vbar in (0.5, 2.0, 5.0):
+                h = build_lmg(LmgParams(n, vbar, chi))
+                for reference in (pair_state(n), all_down(n)):
+                    energies = run_adapt(h, reference, AdaptConfig(max_layers=40)).energies
+                    # Layer 0's energy is summed in another order.
+                    assert energies[1] <= energies[0] + 1e-12
+                    assert all(b <= a for a, b in zip(energies[1:], energies[2:]))
+
+    def test_reset_recovers_from_a_bad_carried_matrix(self):
+        h = build_lmg(LmgParams(6, 5.0))
+        dense = h.dense_real()
+        reference = all_down(6)
+        trace = run_adapt(h, reference, AdaptConfig(max_layers=10))
+        label_map = {op.label: op for op in pool(6)}
+        chosen = [label_map[record.label] for record in trace.layers[1:]]
+        start = list(trace.layers[-2].angles) + [0.0]
+        cold, _ = adapt_module._reoptimize(dense, reference, chosen, list(start), 1e-12)
+        bad = 1e6 * np.eye(len(start) - 1)
+        angles, ref_angles = list(start), list(start)
+        energy, _ = adapt_module._reoptimize(dense, reference, chosen, angles, 1e-12, bad)
+        ref_energy, _, _, _, resets = reference_reoptimize(
+            dense, reference, chosen, ref_angles, 1e-12, bad
+        )
+        assert resets == 1
+        assert energy == ref_energy and angles == ref_angles
+        assert abs(energy - cold) <= 1e-10 * abs(cold)
+
+    def test_forward_pass_budget(self, monkeypatch, capsys):
+        # The adapt-n8 benchmark command: 714 forward passes from a cold
+        # start at every layer, 285 with the carried inverse Hessian.
+        calls = []
+        forward = adapt_module._forward
+
+        def counted(*args):
+            calls.append(None)
+            return forward(*args)
+
+        monkeypatch.setattr(adapt_module, "_forward", counted)
+        argv = ["adapt", "--n", "8", "--vbar", "5", "--reference", "s2", "--max-layers", "24"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 26
+        assert len(calls) <= 400
 
 
 def full_eigh_exact_target(dense, n, reference):
