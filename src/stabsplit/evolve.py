@@ -13,6 +13,7 @@ in N rather than as 2^N.  The projection pair built from a
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .exact import (
     s2_candidate_state,
 )
 from .lmg import LmgParams
-from .pauli import PauliHamiltonian, ResourceLimitError, _popcounts
+from .pauli import PauliHamiltonian, ResourceLimitError, _popcounts, num_qubits
 
 QITP_QUBIT_LIMIT = 10
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -85,8 +86,8 @@ def ite_evolve(h, initial, tau: float, eig=None):
     projection operators below.  ``eig`` takes a precomputed (values, vectors)
     eigensystem to amortize repeated calls.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and non-negative")
     collective = isinstance(initial, DickeVector)
     vec = initial.amps if collective else initial
     evals, evecs = _eigensystem(h, eig)
@@ -119,8 +120,8 @@ def ite_curve(h, plan: ItePlan, eig=None) -> list:
 def _projection_matrices(h, tau: float, e0_bar: float, eig, scales) -> list[np.ndarray]:
     """(1 + e^(scale (H-e0) tau))^(-1/2) for each scale in ``scales``, by
     eigendecomposition with log-domain weights; scale -2 gives A, +2 gives Q."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and non-negative")
     if isinstance(h, PauliHamiltonian) and h.n > QITP_QUBIT_LIMIT:
         raise ResourceLimitError(f"projection operators guarded at n <= {QITP_QUBIT_LIMIT}")
     evals, evecs = _eigensystem(h, eig)
@@ -315,7 +316,7 @@ def parity_project(state, sector: int | None = None):
         if norm < 1e-14:
             raise ValueError("state has no weight in the requested parity sector")
         return DickeVector(n, state.ks, projected / norm)
-    n = int(np.log2(len(state)))
+    n = num_qubits(state)
     sector = (-1) ** n if sector is None else sector
     projected = np.where((-1.0) ** _popcounts(n) == sector, state, 0.0)
     norm = np.linalg.norm(projected)

@@ -15,15 +15,16 @@ each family contributes exactly one candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, _set_qubit_bits, _words, canonical_phase
+from .pauli import PauliHamiltonian, PauliString, _words, canonical_phase
 from .tableau import (
     CliffordGate,
     StabilizerGroup,
     apply_circuit,
+    hamiltonian_energy,
     prepare_graph_state,
 )
 
@@ -49,9 +50,13 @@ class LmgParams:
 
 @dataclass(frozen=True)
 class LmgCandidate:
+    """A family's group with its energy and the expectation of every term of
+    the Hamiltonian it was scored on (``StabilizerGroup.expectations``)."""
+
     family: str
     group: StabilizerGroup
     energy: float
+    expectations: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -69,9 +74,9 @@ class HamiltonianSplit:
 def build_lmg(params: LmgParams) -> PauliHamiltonian:
     """Pauli-sum form of the Hamiltonian; zero-coefficient terms are omitted.
 
-    Built packed, in the order Z_1 .. Z_N, then X_i X_j followed by Y_i Y_j
-    for each pair i < j in ``np.triu_indices`` order.  The terms are unique
-    by construction.
+    Built as a position table, in the order Z_1 .. Z_N, then X_i X_j
+    followed by Y_i Y_j for each pair i < j in ``np.triu_indices`` order.
+    The terms are unique by construction.
     """
     n = params.n
     coupling = -params.vbar / (2.0 * (n - 1))
@@ -83,19 +88,19 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
             kinds.append(params.chi * coupling)
     total = n + len(kinds) * n * (n - 1) // 2
     coeffs = np.full(total, 0.5)
-    x = np.zeros((total, _words(n)), dtype=np.uint64)
-    z = np.zeros_like(x)
-    _set_qubit_bits(z[:n], n, np.arange(1, n + 1))
+    shift = 64 * _words(n)
+    # Qubit q is bit n - q; X_i X_j holds two positions, Y_i Y_j four.
+    positions = np.full((total, 2 * len(kinds) or 1), 2 * shift, dtype=np.int32)
+    positions[:n, 0] = np.arange(n - 1, -1, -1)
     if kinds:
         i, j = np.triu_indices(n, 1)
         for k, c in enumerate(kinds):
             coeffs[n + k :: len(kinds)] = c
-        xx = x[n :: len(kinds)]
-        _set_qubit_bits(xx, n, i + 1)
-        _set_qubit_bits(xx, n, j + 1)
-        if len(kinds) == 2:  # Y_i Y_j: the pair's bits in both x and z
-            x[n + 1 :: 2] = z[n + 1 :: 2] = xx
-    return PauliHamiltonian(n, coeffs, x, z)
+        bits = np.stack([n - 1 - j, n - 1 - i], axis=1)
+        positions[n :: len(kinds), :2] = shift + bits
+        if len(kinds) == 2:
+            positions[n + 1 :: 2] = np.concatenate([bits, shift + bits], axis=1)
+    return PauliHamiltonian(n, coeffs, positions)
 
 
 # -- family builders ---------------------------------------------------------
@@ -174,7 +179,8 @@ def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidat
     ]
     if n > 2:
         groups.append(("s3", pair_family_group(n, "Y", _optimal_pair_signs(n, params.chi))))
-    return [LmgCandidate(family, group, group.energy(h)) for family, group in groups]
+    scored = [(family, group, group.expectations(h)) for family, group in groups]
+    return [LmgCandidate(f, g, hamiltonian_energy(h, e), e) for f, g, e in scored]
 
 
 def best_family_energy(candidates, family: str) -> float:
@@ -215,7 +221,7 @@ def select_candidate(
     coupling the pair energy sums n(n-1)/2 copies of vbar/(2(n-1)), whose
     rounding (well under 1e-13 relative) must not pick the winner, while a
     genuine coupling offset of 1e-9 still flips the selection.  The sums run
-    left to right in term order (see ``StabilizerGroup.energy``), so ties
+    left to right in term order (see ``hamiltonian_energy``), so ties
     resolve the same way on every Python version.  For n >= 3 the
     symmetry-breaking pair group must not beat the choice.
     """
@@ -240,10 +246,12 @@ def select_split(h: PauliHamiltonian, params: LmgParams) -> HamiltonianSplit:
 def split_around(h: PauliHamiltonian, params: LmgParams, chosen: LmgCandidate) -> HamiltonianSplit:
     """Split H around one candidate group.
 
-    Terms with a nonzero expectation in the group's state form the
-    stabilizer part; the rest form the magic part.  Both keep H's term order.
+    Terms with a nonzero expectation in the group's state (read from
+    ``chosen.expectations``, so ``chosen`` must have been scored on ``h``)
+    form the stabilizer part; the rest form the magic part.  Both keep H's
+    term order.
     """
-    nonzero = chosen.group.expectations(h) != 0
+    nonzero = chosen.expectations != 0
     return HamiltonianSplit(
         params=params,
         family=chosen.family,

@@ -13,8 +13,8 @@ Conventions used throughout the package:
   integer arithmetic: the phase is always exactly one of {1, i, -1, -i}.
 * Bit rows are Python ints, so there is no fixed word-size qubit limit; the
   practical caps live on dense-vector operations (``dense`` guards n <= 14).
-  A ``PauliHamiltonian`` stores its terms packed, as rows of uint64 words
-  holding the same bits, least significant word first.
+  A ``PauliHamiltonian`` stores each term as the positions of its set bits,
+  z bits first, then x bits, 64 * ``_words(n)`` positions per half.
 """
 
 from __future__ import annotations
@@ -70,53 +70,16 @@ def _sign_vector(mask, n: int) -> np.ndarray:
 
 
 def _words(bits: int) -> int:
-    """uint64 words per packed row of ``bits`` bits."""
+    """64-bit words that hold ``bits`` bits."""
     return (bits + 63) // 64
 
 
-def _pack(values, words: int) -> np.ndarray:
-    """Python-int bit rows as a (len(values), words) array of uint64 words,
-    least significant word first."""
-    data = b"".join(v.to_bytes(8 * words, "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
-
-
-def _unpack(rows: np.ndarray) -> list[int]:
-    """Inverse of ``_pack``: one Python int per packed row."""
-    step = 8 * rows.shape[1]
-    data = np.ascontiguousarray(rows, dtype="<u8").tobytes()
-    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
-
-
-def _set_qubit_bits(rows: np.ndarray, n: int, qubits: np.ndarray) -> None:
-    """OR the bit of 1-based qubit ``qubits[k]`` into packed row k of ``rows``,
-    which may be a strided view."""
-    pos = n - np.asarray(qubits, dtype=np.int64)
-    rows[np.arange(len(pos)), pos // 64] |= np.uint64(1) << (pos % 64).astype(np.uint64)
-
-
-# Terms are tabulated (``PauliHamiltonian._term_bits``) and evaluated
-# (``StabilizerGroup.expectations``) this many at a time, which bounds the
-# temporaries at any Hamiltonian size.
-_TERM_BLOCK = 4096
-
-
-def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, bit position) of every one bit of packed rows, ordered by row."""
-    flat = np.flatnonzero(packed)
-    row, word = np.divmod(flat, packed.shape[1])
-    values = packed.ravel()[flat]
-    rows, bits = [row[:0]], [word[:0]]
-    while len(values):
-        rows.append(row)
-        # values ^ (values - 1) is the lowest one bit and the zeros below it.
-        bits.append(64 * word + np.bitwise_count(values ^ (values - np.uint64(1))) - 1)
-        values = values & (values - np.uint64(1))
-        left = values != 0
-        row, word, values = row[left], word[left], values[left]
-    row, bit = np.concatenate(rows), np.concatenate(bits)
-    order = np.argsort(row, kind="stable")
-    return row[order], bit[order]
+def _bit_positions(value: int):
+    """Positions of the one bits of a nonnegative int, lowest first."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low
 
 
 def _xz_exponent(p: "PauliString") -> int:
@@ -292,26 +255,28 @@ class PauliString:
 class PauliHamiltonian:
     """A real linear combination of Hermitian, phase +1 Pauli strings.
 
-    Stored packed: ``coeffs`` holds one float64 coefficient per term, and the
-    read-only uint64 arrays ``x`` and ``z`` hold one row of ``_words(n)``
-    words per term, least significant word first, with the bit layout of
-    ``PauliString.x_bits`` / ``z_bits``.  The unsigned strings must be
-    unique; ``from_terms`` builds them from (coefficient, string) pairs.
-    ``terms`` is the same data as (coefficient, string) pairs, decoded on
-    first access.  Instances compare by identity.
+    Stored as ``coeffs``, one float64 coefficient per term, and
+    ``positions``, a read-only int32 table with one row per term: the
+    positions of the term's set bits, ascending.  A position counts through
+    the z bits, then the x bits, 64 * ``_words(n)`` per half, with the bit
+    layout of ``PauliString.z_bits`` / ``x_bits``.  Rows are padded to a
+    common width of at least one column with 128 * ``_words(n)``, one past
+    the last position.  The unsigned strings must be unique; ``from_terms``
+    builds them from (coefficient, string) pairs.  ``terms`` is the same
+    data as (coefficient, string) pairs, decoded on first access.
+    Instances compare by identity.
     """
 
     n: int
     coeffs: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
+    positions: np.ndarray
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(-1)
-        shape = (len(coeffs), _words(self.n))
-        x = np.asarray(self.x, dtype=np.uint64).reshape(shape)
-        z = np.asarray(self.z, dtype=np.uint64).reshape(shape)
-        for name, array in (("coeffs", coeffs), ("x", x), ("z", z)):
+        positions = np.asarray(self.positions, dtype=np.int32)
+        if positions.ndim != 2 or positions.shape[0] != len(coeffs) or positions.shape[1] < 1:
+            raise ValueError("need one row of at least one position per coefficient")
+        for name, array in (("coeffs", coeffs), ("positions", positions)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -331,64 +296,64 @@ class PauliHamiltonian:
             key = (string.x_bits, string.z_bits)
             merged[key] = merged.get(key, 0.0) + c
         kept = [(key, c) for key, c in merged.items() if c != 0.0]
-        words = _words(n)
-        return cls(
-            n,
-            [c for _, c in kept],
-            _pack([x for (x, _), _ in kept], words),
-            _pack([z for (_, z), _ in kept], words),
-        )
+        shift = 64 * _words(n)
+        rows = [list(_bit_positions((x << shift) | z)) for (x, z), _ in kept]
+        counts = np.array([len(row) for row in rows], dtype=np.int64)
+        positions = np.full((len(rows), counts.max(initial=1)), 2 * shift, dtype=np.int32)
+        filled = np.arange(positions.shape[1]) < counts[:, None]
+        positions[filled] = [p for row in rows for p in row]
+        return cls(n, [c for _, c in kept], positions)
 
     @cached_property
     def terms(self) -> tuple[tuple[float, PauliString], ...]:
         """(coefficient, string) pairs in storage order."""
-        return tuple(
-            (c, PauliString(self.n, x, z, 0))
-            for c, x, z in zip(self.coeffs.tolist(), _unpack(self.x), _unpack(self.z))
-        )
+        return tuple(zip(self.coeffs.tolist(), self._strings()))
+
+    def _strings(self):
+        """The terms' unsigned strings, decoded from the position table."""
+        shift = 64 * _words(self.n)
+        for row in self.positions.tolist():
+            vec = sum(1 << p for p in row if p < 2 * shift)
+            yield PauliString(self.n, vec >> shift, vec & ((1 << shift) - 1))
 
     @cached_property
-    def _term_bits(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per block of ``_TERM_BLOCK`` terms: each term's set-bit positions
-        and -|x & z|, as int32.
+    def y_counts(self) -> np.ndarray:
+        """|x & z| of every term, its number of Y sites, as read-only int32.
 
-        A position counts through the term's z words, then its x words, 64
-        bits each: the layout of the vectors of ``StabilizerGroup._basis``.
-        Each block pads its rows to its heaviest term, and to at least one
-        column, with 128 * ``_words(n)``, one past the last position.  Built
-        on first use, so every group scored on this instance reads the same
-        table.
+        A term has a Y at z position p exactly when it also holds the x
+        position p + 64 * ``_words(n)``, which, rows being ascending, lies in
+        a later column.  Only z positions are looked up: the x position of
+        qubit n plus the half width is the pad, not a partner.
         """
-        pad = 128 * _words(self.n)
-        blocks = []
-        for start in range(0, len(self), _TERM_BLOCK):
-            x, z = self.x[start : start + _TERM_BLOCK], self.z[start : start + _TERM_BLOCK]
-            term, bit = _set_bits(np.concatenate([z, x], axis=1))
-            counts = np.bincount(term, minlength=len(x))
-            slot = np.arange(len(term)) - (np.cumsum(counts) - counts)[term]
-            bits = np.full((len(x), counts.max(initial=1)), pad, dtype=np.int32)
-            bits[term, slot] = bit
-            blocks.append((bits, -np.bitwise_count(x & z).sum(axis=1, dtype=np.int32)))
-        return tuple(blocks)
+        shift = 64 * _words(self.n)
+        pos = self.positions
+        counts = np.zeros(len(self), dtype=np.int32)
+        for a in range(pos.shape[1] - 1):
+            partner = (pos[:, a + 1 :] == (pos[:, a] + shift)[:, None]).any(axis=1)
+            counts += partner & (pos[:, a] < shift)
+        counts.setflags(write=False)
+        return counts
 
     def subset(self, keep: np.ndarray) -> "PauliHamiltonian":
         """The terms where the boolean mask ``keep`` is true, in order."""
-        return PauliHamiltonian(self.n, self.coeffs[keep], self.x[keep], self.z[keep])
+        return PauliHamiltonian(self.n, self.coeffs[keep], self.positions[keep])
 
     def __len__(self) -> int:
         return len(self.coeffs)
 
     def _dense_parts(self):
-        """Per-term x word, z word and Y count, read from the packed rows.
+        """Per-term x bits, z bits and Y count, read from the position table.
 
-        One word per row holds every bit, since ``dense`` guards
-        n <= DENSE_QUBIT_LIMIT < 64.
+        With n <= DENSE_QUBIT_LIMIT < 64 each half is one word: z positions
+        lie below 64, x positions from 64 up to the pad, 128.
         """
         if self.n > DENSE_QUBIT_LIMIT:
             raise ResourceLimitError(f"dense matrix guarded at n <= {DENSE_QUBIT_LIMIT}")
-        x = self.x[:, 0].astype(np.int64)
-        z = self.z[:, 0].astype(np.int64)
-        return x, z, np.bitwise_count(x & z)
+        pos = self.positions.astype(np.int64)
+        ones = np.left_shift(1, pos % 64)
+        x = np.where((64 <= pos) & (pos < 128), ones, 0).sum(axis=1)
+        z = np.where(pos < 64, ones, 0).sum(axis=1)
+        return x, z, self.y_counts
 
     def _scatter(self, x: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Sum of the terms' matrices scale_t * X^x_t Z^z_t, entry by entry.
@@ -423,8 +388,8 @@ class PauliHamiltonian:
         if len(vec) != 1 << self.n:
             raise ValueError("statevector length mismatch")
         out = np.zeros(len(vec), dtype=complex)
-        for coeff, x, z in zip(self.coeffs.tolist(), _unpack(self.x), _unpack(self.z)):
-            out += coeff * PauliString(self.n, x, z).apply(vec)
+        for coeff, string in zip(self.coeffs.tolist(), self._strings()):
+            out += coeff * string.apply(vec)
         return out
 
     def expectation(self, vec: np.ndarray) -> float:

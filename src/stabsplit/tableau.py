@@ -5,7 +5,7 @@ independent Hermitian Pauli generators.  Membership queries run over GF(2)
 with exact sign tracking, so Pauli expectations in a stabilizer state are
 returned exactly as -1, 0, or +1, one string at a time or for every term of
 a Hamiltonian at once.  The reduced basis is eliminated on int rows with int
-phase exponents; the batched path reads the Hamiltonian's term-bit table and
+phase exponents; the batched path reads the Hamiltonian's position table and
 gathers anticommutation columns, basis-row phases and pairwise overlaps at
 each term's set bits, a fixed number per term.  Statevector extraction
 multiplies the projectors (1 + g)/2 onto a compatible computational basis
@@ -25,8 +25,8 @@ from .pauli import (
     PauliHamiltonian,
     ResourceLimitError,
     canonical_phase,
+    _bit_positions,
     _indices,
-    _pack,
     _product_exponent,
     _words,
     _xz_exponent,
@@ -46,6 +46,10 @@ _LOCAL_MATS = {
 }
 _SINGLE_QUBIT_GATES = frozenset("HSXYZ")
 _TWO_QUBIT_GATES = frozenset({"CX", "CZ"})
+
+# ``StabilizerGroup.expectations`` evaluates terms this many at a time, which
+# bounds the temporaries at any Hamiltonian size.
+_TERM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -143,12 +147,24 @@ def apply_local_label(vec: np.ndarray, n: int, qubit: int, label: str) -> np.nda
     return _apply_single_qubit(vec, n, qubit, mat)
 
 
-def _bit_positions(value: int):
-    """Positions of the one bits of a nonnegative int, lowest first."""
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
+def hamiltonian_energy(h: PauliHamiltonian, expectations: np.ndarray) -> float:
+    """Coefficients of ``h`` times per-term expectations, summed.
+
+    The products are added left to right in term order, starting from +0.0,
+    with ``np.cumsum``.  Builtin ``sum`` would leave the order to the
+    interpreter: from Python 3.12 on it uses compensated summation for
+    floats, so the energies (and the sweep bytes and selection ties built on
+    them) would depend on the Python version.
+    """
+    products = h.coeffs * expectations
+    return float(np.cumsum(np.concatenate(([0.0], products)))[-1])
+
+
+def _pack(values, words: int) -> np.ndarray:
+    """Python-int bit rows as a (len(values), words) array of uint64 words,
+    least significant word first."""
+    data = b"".join(v.to_bytes(8 * words, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
 
 def _columns(rows: list[int]) -> dict[int, int]:
@@ -228,10 +244,11 @@ class StabilizerGroup:
 
         Vectors pack (x_bits << 64 w) | z_bits with w = ``_words(n)``, so as
         uint64 words they are the z row followed by the x row, the layout of
-        the positions in ``PauliHamiltonian._term_bits``.  Each vector has a one at its own pivot, its highest
-        bit, and zeros at every other pivot, so a vector in the span is the XOR
-        of the rows at its set pivot bits.  Each stored element is the exact
-        signed product of original generators whose vectors XOR to ``vector``.
+        ``PauliHamiltonian.positions``.  Each vector has a one at its own
+        pivot, its highest bit, and zeros at every other pivot, so a vector in
+        the span is the XOR of the rows at its set pivot bits.  Each stored
+        element is the exact signed product of original generators whose
+        vectors XOR to ``vector``.
 
         The elimination runs on int rows: each row is i^e X^x Z^z with an int
         exponent e, and a product of rows is one ``_product_exponent``.  The
@@ -292,8 +309,9 @@ class StabilizerGroup:
     def expectations(self, h: PauliHamiltonian) -> np.ndarray:
         """Exact expectations of every term of ``h``, as int8 -1, 0 or +1.
 
-        Batched form of ``expectation``, one block of ``h``'s term-bit table
-        at a time, each step a fixed-width gather over the block.
+        Batched form of ``expectation``, one block of ``_TERM_BLOCK`` rows of
+        ``h.positions`` at a time, each step a fixed-width gather over the
+        block.
 
         Membership: the group has n independent commuting generators on n
         qubits, so a Pauli lies in it up to sign exactly when it commutes with
@@ -328,34 +346,24 @@ class StabilizerGroup:
         zx = zx.ravel()
 
         out = np.zeros(len(h), dtype=np.int8)
-        start = 0
-        for bits, phase in h._term_bits:
+        for start in range(0, len(h), _TERM_BLOCK):
+            bits = h.positions[start : start + _TERM_BLOCK]
             syndrome = np.take(columns, bits[:, 0], axis=0)
             for a in range(1, bits.shape[1]):
                 syndrome ^= np.take(columns, bits[:, a], axis=0)
             member = np.flatnonzero(reduce(np.bitwise_or, syndrome.T) == 0)
-            rows, phase = row_at[bits[member]], phase[member]
+            rows = row_at[bits[member]]
+            phase = -h.y_counts[start + member]
             for a in range(rows.shape[1]):
                 phase += row_phase[rows[:, a]]
                 for b in range(a):
                     phase += 2 * zx[rows[:, b] * (n + 1) + rows[:, a]]
             out[start + member] = 1 - (phase & 2)
-            start += len(bits)
         return out
 
     def energy(self, h: PauliHamiltonian) -> float:
-        """Stabilizer energy: coefficients times exact expectations.
-
-        The products are added left to right in term order, starting from
-        +0.0, with ``np.cumsum``.  Builtin ``sum`` would leave the order to the
-        interpreter: from Python 3.12 on it uses compensated summation for
-        floats, so the energies (and the sweep bytes and selection ties built
-        on them) would depend on the Python version.
-        """
-        if h.n != self.n:
-            raise ValueError("qubit count mismatch")
-        products = h.coeffs * self.expectations(h)
-        return float(np.cumsum(np.concatenate(([0.0], products)))[-1])
+        """Stabilizer energy: ``hamiltonian_energy`` of the exact expectations."""
+        return hamiltonian_energy(h, self.expectations(h))
 
     # -- Clifford action -----------------------------------------------------
 

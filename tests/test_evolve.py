@@ -161,6 +161,16 @@ class TestIteEvolve:
         with pytest.raises(ValueError):
             ite_evolve(h, all_down(2), -0.1)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tau(self, tau):
+        # Unchecked, both return an all-NaN state: at inf, 0 * inf makes the
+        # ground weight NaN.
+        h = build_lmg(LmgParams(3, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            ite_evolve(h, all_down(3), tau)
+        with pytest.raises(ValueError, match="finite"):
+            qitp_postselect(h, all_down(3), tau, 0.0)
+
     def test_rejects_odd_y_hamiltonian(self):
         # X1 Y2 has an imaginary matrix; the flow needs a real one.
         h = PoolOperator(3, 1, 2, 1).as_hamiltonian()
@@ -507,3 +517,7 @@ class TestParityProject:
         pure = DickeVector(4, (0,), np.array([1.0]))
         with pytest.raises(ValueError):
             parity_project(pure, sector=-1)
+
+    def test_rejects_length_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            parity_project(np.ones(6) / np.sqrt(6.0))

@@ -24,7 +24,7 @@ from stabsplit.lmg import (
     symmetry_breaking_group,
 )
 from stabsplit.pauli import PauliHamiltonian, PauliString
-from stabsplit.tableau import apply_circuit
+from stabsplit.tableau import StabilizerGroup, apply_circuit
 
 
 class TestParams:
@@ -82,6 +82,8 @@ def reference_terms(params):
 
 
 class TestPackedBuild:
+    """``build_lmg`` writes the position table that ``from_terms`` builds."""
+
     @pytest.mark.parametrize("n", [*range(2, 13), 31, 32, 33, 63, 64, 65, 128, 129])
     def test_matches_term_by_term_construction(self, n):
         for chi in (-1.0, -0.5, 0.0, -0.0, 0.5, 1.0):
@@ -89,13 +91,11 @@ class TestPackedBuild:
                 h = build_lmg(LmgParams(n, vbar, chi))
                 terms = reference_terms(LmgParams(n, vbar, chi))
                 ref = PauliHamiltonian.from_terms(n, terms)
-                assert len(h) == len(ref)
-                assert h.n == n and h.x.shape == h.z.shape == (len(ref), (n + 63) // 64)
-                for array in (h.coeffs, h.x, h.z):
-                    assert array.dtype in (np.float64, np.uint64)
-                    assert not array.flags.writeable
+                assert h.n == n and len(h) == len(ref)
+                assert h.coeffs.dtype == np.float64 and h.positions.dtype == np.int32
                 assert h.coeffs.tolist() == ref.coeffs.tolist()
-                assert np.array_equal(h.x, ref.x) and np.array_equal(h.z, ref.z)
+                assert h.positions.tolist() == ref.positions.tolist()
+                assert h.y_counts.tolist() == ref.y_counts.tolist()
                 # The decoded view: same order, same strings, coefficients ==.
                 assert h.terms == tuple((c, s) for c, s in terms if c != 0.0)
 
@@ -104,9 +104,17 @@ class TestPackedBuild:
         with pytest.raises(ValueError):
             h.coeffs[0] = 1.0
         with pytest.raises(ValueError):
-            h.x[0, 0] = 1
+            h.positions[0, 0] = 1
         with pytest.raises(ValueError):
-            h.z[0, 0] = 1
+            h.y_counts[0] = 1
+
+    def test_large_n_storage(self):
+        # 10^6 terms at N = 1000: 8 MB of coefficients and 16 MB of positions
+        # (four int32 columns, 24 * 10^6 bytes), where packed x/z rows of 16
+        # words each would take 256 MB.  Nothing else is stored.
+        h = build_lmg(LmgParams(1000, 3.0, 0.5))
+        arrays = [v for v in vars(h).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) < 24 * 2**20
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +135,7 @@ def reference_candidates(h, params):
     pair signs with both parity completions).  ``candidate_groups`` must
     return the first minimum of each family."""
     return [
-        LmgCandidate(family, group, group.energy(h))
+        LmgCandidate(family, group, group.energy(h), group.expectations(h))
         for family, group in _reference_groups(params.n)
     ]
 
@@ -263,6 +271,22 @@ class TestSelection:
         assert split.group.energy(split.stab_part) == pytest.approx(split.stab_energy)
         assert split.group.energy(split.magic_part) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_four_expectation_passes_per_split(self, n, monkeypatch):
+        # Three candidates and the guard; the split reuses the chosen
+        # candidate's expectations instead of scoring its group again.
+        calls = []
+        batched = StabilizerGroup.expectations
+
+        def counting(group, h):
+            calls.append(group)
+            return batched(group, h)
+
+        monkeypatch.setattr(StabilizerGroup, "expectations", counting)
+        params = LmgParams(n, 3.0, -1.0)
+        select_split(build_lmg(params), params)
+        assert len(calls) == 4
+
     def test_selected_energy_upper_bounds_exact(self):
         for n in (2, 4, 6):
             for vbar in (0.5, 2.5, 8.0):
@@ -299,8 +323,8 @@ class TestLargeN:
         assert symmetry_breaking_energy(h, params) == pytest.approx(guard, rel=1e-12)
 
     def test_subset_reads_its_own_term_table(self):
-        # Each Hamiltonian builds its own table: scoring the subset first or
-        # second gives the full expectations at the kept terms.
+        # Each Hamiltonian derives its own Y counts: scoring the subset first
+        # or second gives the full expectations at the kept terms.
         params = LmgParams(200, 10.0, 0.5)
         keep = np.random.default_rng(5).random(len(build_lmg(params))) < 0.3
         groups = [c.group for c in candidate_groups(build_lmg(params), params)]

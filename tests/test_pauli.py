@@ -13,6 +13,7 @@ from stabsplit.pauli import (
     _popcounts,
     _product_exponent,
     _sign_vector,
+    _words,
     _xz_exponent,
     canonical_phase,
 )
@@ -246,6 +247,52 @@ class TestPauliHamiltonian:
             h.dense_real()
 
 
+def hermitian_sums(n):
+    """Unique Hermitian strings on n qubits, either sign, up to 12 of them."""
+    bits = st.integers(0, (1 << n) - 1)
+    string = st.builds(PauliString, st.just(n), bits, bits, st.sampled_from((0, 2)))
+    return st.lists(string, max_size=12, unique_by=lambda p: (p.x_bits, p.z_bits))
+
+
+class TestPositionTable:
+    """``from_terms`` stores each term's set-bit positions; ``terms``,
+    ``y_counts`` and ``dense`` read them back."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129])
+    @given(data=st.data())
+    def test_round_trip(self, n, data):
+        strings = data.draw(hermitian_sums(n))
+        coeffs = [(k + 1) * (-1.0 if p.phase_exp else 1.0) for k, p in enumerate(strings)]
+        h = PauliHamiltonian.from_terms(n, [(k + 1, p) for k, p in enumerate(strings)])
+        assert h.terms == tuple((c, p.unsigned()) for c, p in zip(coeffs, strings))
+        assert h.y_counts.tolist() == [(p.x_bits & p.z_bits).bit_count() for p in strings]
+        half = 64 * _words(n)
+        counts = [(p.x_bits << half | p.z_bits).bit_count() for p in strings]
+        assert h.positions.shape == (len(strings), max(counts, default=1) or 1)
+        for row, p in zip(h.positions.tolist(), strings):
+            vec = p.x_bits << half | p.z_bits
+            bits = [b for b in range(2 * half) if (vec >> b) & 1]
+            assert row == bits + [2 * half] * (len(row) - len(bits))
+        if n <= 3:
+            want = np.zeros((1 << n, 1 << n), dtype=complex)
+            for c, p in zip(coeffs, strings):
+                want += c * p.unsigned().dense()
+            assert np.allclose(h.dense(), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+    def test_x_and_y_on_the_last_qubit(self, n):
+        # Qubit n is bit 0: its x position is the half width, and that plus
+        # the half width is the pad, which is not a Y partner.
+        half = 64 * _words(n)
+        x_n, y_n = (PauliString.from_ops(n, {n: letter}) for letter in "XY")
+        h = PauliHamiltonian.from_terms(n, [(1.0, x_n), (2.0, y_n)])
+        assert h.positions.tolist() == [[half, 2 * half], [0, half]]
+        assert h.y_counts.tolist() == [0, 1]
+        assert h.terms == ((1.0, x_n), (2.0, y_n))
+        if n <= 2:
+            assert np.array_equal(h.dense(), x_n.dense() + 2.0 * y_n.dense())
+
+
 class TestBitCounts:
     def test_popcounts_and_sign_vectors_match_bit_loops(self):
         rng = np.random.default_rng(29)
@@ -307,7 +354,7 @@ def assert_same_bits(got, want):
 
 
 class TestDenseFromRows:
-    """``dense``, ``dense_real`` and ``apply`` read the packed rows; every
+    """``dense``, ``dense_real`` and ``apply`` read the position table; every
     entry must be the same float sum as the per-term loops over ``terms``."""
 
     def test_lmg_matrices_bit_identical(self):

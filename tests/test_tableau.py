@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stabsplit.lmg import LmgParams, build_lmg, candidate_groups, symmetry_breaking_group
-from test_lmg import reference_candidates
+from test_lmg import reference_candidates, reference_terms
 from stabsplit.pauli import PauliHamiltonian, PauliString, _words, canonical_phase
 from stabsplit.tableau import (
     CliffordGate,
@@ -319,29 +319,28 @@ class TestOddOverlaps:
 
 
 class TestTermBits:
-    """Each Hamiltonian's table of set-bit positions and -|x & z|."""
+    """Each Hamiltonian's table of set-bit positions and its Y counts."""
 
     @pytest.mark.parametrize("n", [5, 64, 65, 100])
     def test_matches_strings(self, n):
-        # n = 100 gives 10,000 terms: three blocks, the last one partial.
-        h = build_lmg(LmgParams(n, 2.0, 0.5))
-        half = _words(n)
-        terms = iter(h.terms)
-        for bits, minus_y in h._term_bits:
-            assert bits.dtype == minus_y.dtype == np.int32 and bits.shape[1] >= 1
-            for row, count in zip(bits.tolist(), minus_y.tolist()):
-                _, s = next(terms)
-                vec = (s.x_bits << 64 * half) | s.z_bits
-                assert sorted(b for b in row if b != 128 * half) == [
-                    b for b in range(vec.bit_length()) if (vec >> b) & 1
-                ]
-                assert count == -(s.x_bits & s.z_bits).bit_count()
-        assert next(terms, None) is None
+        # n = 100 gives 10,000 terms: three blocks of ``expectations``, the
+        # last one partial.
+        params = LmgParams(n, 2.0, 0.5)
+        h = build_lmg(params)
+        pad = 128 * _words(n)
+        strings = [s for c, s in reference_terms(params) if c != 0.0]
+        assert h.positions.dtype == h.y_counts.dtype == np.int32
+        assert h.positions.shape == (len(strings), 4)
+        for s, row, count in zip(strings, h.positions.tolist(), h.y_counts.tolist(), strict=True):
+            vec = (s.x_bits << pad // 2) | s.z_bits
+            bits = [b for b in range(vec.bit_length()) if (vec >> b) & 1]
+            assert row == bits + [pad] * (len(row) - len(bits))
+            assert count == (s.x_bits & s.z_bits).bit_count()
 
     def test_identity_only_block_has_one_pad_column(self):
         h = PauliHamiltonian.from_terms(3, [(1.0, PauliString.identity(3))])
-        ((bits, minus_y),) = h._term_bits
-        assert bits.tolist() == [[128]] and minus_y.tolist() == [0]
+        assert h.positions.tolist() == [[128]] and h.y_counts.tolist() == [0]
+        assert PauliHamiltonian.from_terms(3, []).positions.shape == (0, 1)
 
 
 class TestConjugation:
