@@ -363,21 +363,15 @@ def run_qitp(opt: dict) -> int:
     _, exact_vec = dense_ground_state(params)
     candidates = candidate_groups(h, params)
     e0 = opt["e0"] if opt["e0"] is not None else select_candidate(h, params, candidates).energy
-    initials = {c.family: c.group.to_statevector() for c in candidates if c.family != "s3"}
+    # The s1 and s2 starts, in column order.
+    initials = [c.group.to_statevector() for c in candidates if c.family != "s3"]
     rows = []
     for tau in np.linspace(0.0, opt["tau_max"], opt["tau_points"]):
+        evolved = qitp_postselect(h, initials, float(tau), e0, eig=eig)
         cells = [_fmt(float(tau))]
-        evolved = {}
-        for key in ("s1", "s2"):
-            state, prob = qitp_postselect(h, initials[key], float(tau), e0, eig=eig)
-            evolved[key] = (state, prob)
-        for key in ("s1", "s2"):
-            cells.append(_fmt(fidelity(evolved[key][0], exact_vec)))
-        for key in ("s1", "s2"):
-            state = evolved[key][0]
-            cells.append(_fmt(float(np.real(np.vdot(state, dense @ state)))))
-        for key in ("s1", "s2"):
-            cells.append(_fmt(evolved[key][1]))
+        cells += [_fmt(fidelity(state, exact_vec)) for state, _ in evolved]
+        cells += [_fmt(float(np.real(np.vdot(state, dense @ state)))) for state, _ in evolved]
+        cells += [_fmt(prob) for _, prob in evolved]
         rows.append(tuple(cells))
     _emit_table(QITP_COLUMNS, rows, opt)
     return 0
@@ -405,6 +399,16 @@ def run_adapt_cmd(opt: dict) -> int:
             _emit_adapt_rows(err.trace, opt)
         raise
     _emit_adapt_rows(trace, opt)
+    last = trace.layers[-1]
+    if trace.converged and last.fidelity < 1.0 - 1e-6:
+        # No gradient is left, yet the state is not the reference sector's
+        # ground state: a stationary point of the pool, not convergence.
+        print(
+            f"note: adapt stopped at layer {last.layer} with every gradient below "
+            f"{_fmt(config.grad_threshold)} but fidelity {_fmt(last.fidelity)}: "
+            "a stationary point, not the ground state of the start's parity sector",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -35,24 +35,6 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class ItePlan:
-    """Imaginary-time schedule: tau grid from 0, start state."""
-
-    tau_grid: tuple[float, ...]
-    initial: object
-
-    def __post_init__(self):
-        grid = tuple(float(t) for t in self.tau_grid)
-        object.__setattr__(self, "tau_grid", grid)
-        if not grid or grid[0] != 0.0:
-            raise ValueError("tau grid must start at 0")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("tau grid must be strictly increasing")
-        if not isinstance(self.initial, (np.ndarray, DickeVector)):
-            raise ValueError("initial state must be a statevector or DickeVector")
-
-
-@dataclass(frozen=True)
 class VariationalResult:
     """Optimized deformation: angle(s), energy, state, fidelity vs exact."""
 
@@ -111,12 +93,6 @@ def ite_evolve(h, initial, tau: float, eig=None):
     return out
 
 
-def ite_curve(h, plan: ItePlan, eig=None) -> list:
-    """States of the plan's tau grid, sharing one eigendecomposition."""
-    eig = _eigensystem(h, eig)
-    return [ite_evolve(h, plan.initial, tau, eig=eig) for tau in plan.tau_grid]
-
-
 def _projection_matrices(h, tau: float, e0_bar: float, eig, scales) -> list[np.ndarray]:
     """(1 + e^(scale (H-e0) tau))^(-1/2) for each scale in ``scales``, by
     eigendecomposition with log-domain weights; scale -2 gives A, +2 gives Q."""
@@ -147,19 +123,26 @@ def qitp_unitary(a_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     return np.block([[q_mat, a_mat], [a_mat, -q_mat]])
 
 
-def qitp_postselect(h, initial: np.ndarray, tau: float, e0_bar: float, eig=None):
-    """Apply the block unitary to |0> (x) |initial> and keep the |0> ancilla.
+def qitp_postselect(
+    h, initials, tau: float, e0_bar: float, eig=None
+) -> list[tuple[np.ndarray, float]]:
+    """Apply the block unitary to |0> (x) |initial> for each of ``initials``
+    and keep the |0> ancilla.
 
     The kept half of ``qitp_unitary(A, Q) @ [initial, 0]`` is Q |initial>,
-    so only Q is built and applied.  Returns the renormalized collapsed
+    so only Q is built, once, and applied to each state as its own
+    matrix-vector product.  Returns, per state, the renormalized collapsed
     state and the post-selection probability |Q |initial>|^2.
     """
     (q_mat,) = _projection_matrices(h, tau, e0_bar, eig, (2.0,))
-    kept = q_mat @ initial
-    probability = float(np.real(np.vdot(kept, kept)))
-    if probability < 1e-14:
-        raise ValueError("post-selection probability vanished")
-    return kept / np.sqrt(probability), probability
+    out = []
+    for initial in initials:
+        kept = q_mat @ initial
+        probability = float(np.real(np.vdot(kept, kept)))
+        if probability < 1e-14:
+            raise ValueError("post-selection probability vanished")
+        out.append((kept / np.sqrt(probability), probability))
+    return out
 
 
 def _golden_section(func, lo: float, hi: float, tol: float = 1e-10):

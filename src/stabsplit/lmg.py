@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,7 +77,9 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
 
     Built as a position table, in the order Z_1 .. Z_N, then X_i X_j
     followed by Y_i Y_j for each pair i < j in ``np.triu_indices`` order.
-    The terms are unique by construction.
+    The terms are unique by construction.  Only the coefficients depend on
+    vbar and chi beyond which terms exist, so every Hamiltonian with the same
+    n and number of pair-term kinds shares one table (``_position_table``).
     """
     n = params.n
     coupling = -params.vbar / (2.0 * (n - 1))
@@ -86,21 +89,30 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
         kinds.append(coupling)
         if params.chi * coupling != 0.0:
             kinds.append(params.chi * coupling)
-    total = n + len(kinds) * n * (n - 1) // 2
-    coeffs = np.full(total, 0.5)
+    positions = _position_table(n, len(kinds))
+    coeffs = np.full(len(positions), 0.5)
+    for k, c in enumerate(kinds):
+        coeffs[n + k :: len(kinds)] = c
+    return PauliHamiltonian(n, coeffs, positions)
+
+
+@lru_cache(maxsize=4)
+def _position_table(n: int, kinds: int) -> np.ndarray:
+    """Read-only position table of ``build_lmg``'s terms with ``kinds`` pair
+    terms (none, X_i X_j, or X_i X_j then Y_i Y_j) per pair."""
+    total = n + kinds * n * (n - 1) // 2
     shift = 64 * _words(n)
     # Qubit q is bit n - q; X_i X_j holds two positions, Y_i Y_j four.
-    positions = np.full((total, 2 * len(kinds) or 1), 2 * shift, dtype=np.int32)
+    positions = np.full((total, 2 * kinds or 1), 2 * shift, dtype=np.int32)
     positions[:n, 0] = np.arange(n - 1, -1, -1)
     if kinds:
         i, j = np.triu_indices(n, 1)
-        for k, c in enumerate(kinds):
-            coeffs[n + k :: len(kinds)] = c
         bits = np.stack([n - 1 - j, n - 1 - i], axis=1)
-        positions[n :: len(kinds), :2] = shift + bits
-        if len(kinds) == 2:
+        positions[n::kinds, :2] = shift + bits
+        if kinds == 2:
             positions[n + 1 :: 2] = np.concatenate([bits, shift + bits], axis=1)
-    return PauliHamiltonian(n, coeffs, positions)
+    positions.setflags(write=False)
+    return positions
 
 
 # -- family builders ---------------------------------------------------------
@@ -169,18 +181,59 @@ def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidat
     The product family puts every spin down, the X-pair family makes every
     X_i X_n positive and completes with ``negated_pair_completion``'s sign,
     and the Y-pair family takes ``_optimal_pair_signs``.  For n = 2 the
-    Y-pair family duplicates the X-pair groups and is skipped.
+    Y-pair family duplicates the X-pair groups and is skipped.  The groups
+    and their expectations come from ``_scored``; the energies are summed
+    afresh from ``h``'s coefficients.
     """
     n = params.n
     completion = parity_string(2).negate() if negated_pair_completion(params) else None
-    groups = [
-        ("s1", product_family_group(n, (-1,) * n)),
-        ("s2", pair_family_group(n, "X", (1,) * (n - 1), completion)),
+    builders = [
+        ("s1", lambda: product_family_group(n, (-1,) * n)),
+        ("s2", lambda: pair_family_group(n, "X", (1,) * (n - 1), completion)),
     ]
     if n > 2:
-        groups.append(("s3", pair_family_group(n, "Y", _optimal_pair_signs(n, params.chi))))
-    scored = [(family, group, group.expectations(h)) for family, group in groups]
-    return [LmgCandidate(f, g, hamiltonian_energy(h, e), e) for f, g, e in scored]
+        builders.append(
+            ("s3", lambda: pair_family_group(n, "Y", _optimal_pair_signs(n, params.chi)))
+        )
+    candidates = []
+    for family, build in builders:
+        group, values = _scored(h, params, family, build)
+        candidates.append(LmgCandidate(family, group, hamiltonian_energy(h, values), values))
+    return candidates
+
+
+# The last Hamiltonian structure scored (``_scored``): its position table,
+# held so that its id is never recycled, the key of what the groups depend
+# on, and name -> (group, read-only int8 expectations).
+_LAST_SCORED: dict = {"table": None, "key": None, "scores": {}}
+
+
+def clear_scores() -> None:
+    """Forget the cached groups and expectations (see ``_scored``)."""
+    _LAST_SCORED.update(table=None, key=None, scores={})
+
+
+def _scored(h: PauliHamiltonian, params: LmgParams, name: str, build):
+    """The group ``build()`` makes, under ``name``, and its expectations of
+    every term of ``h``, reused while h's structure and the groups stay put.
+
+    Expectations depend only on the position table and the group, and each
+    named group only on n, ``chi >= 0`` and ``negated_pair_completion``.
+    ``build_lmg`` shares one table per (n, number of term kinds), so a sweep
+    over vbar at fixed (N, chi) scores its groups once.  The table is matched
+    by identity: any other table (``from_terms``, ``subset``, a vbar whose
+    pair terms vanish) misses and is scored fresh.
+    """
+    key = (h.n, params.n, params.chi >= 0, negated_pair_completion(params))
+    if _LAST_SCORED["table"] is not h.positions or _LAST_SCORED["key"] != key:
+        _LAST_SCORED.update(table=h.positions, key=key, scores={})
+    scores = _LAST_SCORED["scores"]
+    if name not in scores:
+        group = build()
+        values = group.expectations(h)
+        values.setflags(write=False)
+        scores[name] = (group, values)
+    return scores[name]
 
 
 def best_family_energy(candidates, family: str) -> float:
@@ -200,13 +253,14 @@ def symmetry_breaking_group(n: int) -> StabilizerGroup:
 
 
 def symmetry_breaking_energy(h: PauliHamiltonian, params: LmgParams) -> float:
-    """Energy of ``symmetry_breaking_group``.
+    """Energy of ``symmetry_breaking_group``, its expectations from ``_scored``.
 
     Breaks permutation symmetry; serves as a guard that the symmetric
     families are never beaten by it.  Equals
     -(n-2)/2 - vbar (1 - chi) / (2 (n-1)).
     """
-    return symmetry_breaking_group(params.n).energy(h)
+    _, values = _scored(h, params, "guard", lambda: symmetry_breaking_group(params.n))
+    return hamiltonian_energy(h, values)
 
 
 def select_candidate(

@@ -227,14 +227,6 @@ class StabilizerGroup:
     def from_labels(cls, labels, n: int) -> "StabilizerGroup":
         return cls(n, tuple(PauliString.parse(s, n) for s in labels))
 
-    def render_lines(self) -> str:
-        return "\n".join(g.render() for g in self.generators)
-
-    @classmethod
-    def parse_lines(cls, text: str, n: int) -> "StabilizerGroup":
-        labels = [line.strip() for line in text.splitlines() if line.strip()]
-        return cls.from_labels(labels, n)
-
     # -- GF(2) machinery -----------------------------------------------------
 
     @cached_property

@@ -202,7 +202,7 @@ def test_criterion_08_projection_cooling():
             _, q_mat = qitp_operators(h, tau, split.stab_energy)
             direct = q_mat @ init
             direct = direct / np.linalg.norm(direct)
-            state, _ = qitp_postselect(h, init, tau, split.stab_energy)
+            [(state, _)] = qitp_postselect(h, [init], tau, split.stab_energy)
             assert fidelity(state, direct) >= 1.0 - 1e-10
 
         taus = np.linspace(0.0, 8.0, 17)
@@ -216,7 +216,7 @@ def test_criterion_08_projection_cooling():
             for key, vec in (("s1", all_down(8)), ("s2", pair_state(8))):
                 fids = []
                 for tau in taus:
-                    out, _ = qitp_postselect(h_case, vec, float(tau), shift, eig=eig)
+                    [(out, _)] = qitp_postselect(h_case, [vec], float(tau), shift, eig=eig)
                     fids.append(fidelity(out, exact_vec))
                 curve = np.array(fids)
                 assert np.all(np.diff(curve) >= -1e-12)

@@ -529,6 +529,32 @@ class TestAdaptCommand:
         assert csv_path.read_text() == out
         assert json.loads(json_path.read_text()) == rows
 
+    def test_stationary_point_noted(self, capsys, tmp_path):
+        # From s2 at N = 4 every pool gradient vanishes after 6 layers at
+        # fidelity 0.966: the run stops as converged short of the ground state.
+        argv = ["adapt", "--n", "4", "--chi", "-1", "--vbar", "2", "--reference", "s2"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[-1]["layer"] == "6"
+        assert float(rows[-1]["fidelity"]) == pytest.approx(0.9659, abs=1e-4)
+        assert err.startswith("note: adapt stopped at layer 6 ") and err.count("\n") == 1
+        # The note goes to stderr only, also when rows go to a file.
+        path = tmp_path / "trace.csv"
+        code, quiet, again = run_cli(capsys, argv + ["--out", str(path)])
+        assert (code, quiet, again) == (0, "", err)
+        assert path.read_text() == out
+
+    def test_other_sector_ground_state_not_noted(self, capsys):
+        # The exact ground state lies in the odd sector, which the pool cannot
+        # reach; the run ends at the even sector's ground state, fidelity 1.
+        argv = ["adapt", "--n", "6", "--chi", "0.5", "--vbar", "2", "--reference", "s2"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert float(rows[-1]["fidelity"]) > 1.0 - 1e-6
+        assert float(rows[-1]["rel_energy_error"]) > 1e-3
+
     def test_guards(self, capsys):
         code, _, _ = run_cli(capsys, ["adapt", "--n", "11", "--vbar", "1"])
         assert code == 2

@@ -6,8 +6,6 @@ from scipy.linalg import expm, inv, sqrtm
 
 from stabsplit.adapt import PoolOperator
 from stabsplit.evolve import (
-    ItePlan,
-    ite_curve,
     ite_evolve,
     parity_project,
     deformed_hf,
@@ -40,20 +38,6 @@ def all_down(n):
     vec = np.zeros(1 << n, dtype=complex)
     vec[-1] = 1.0
     return vec
-
-
-class TestItePlan:
-    def test_accepts_valid_grid(self):
-        plan = ItePlan((0.0, 0.5, 1.0), all_down(2))
-        assert plan.tau_grid == (0.0, 0.5, 1.0)
-
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            ItePlan((0.5, 1.0), all_down(2))
-        with pytest.raises(ValueError):
-            ItePlan((0.0, 1.0, 1.0), all_down(2))
-        with pytest.raises(ValueError):
-            ItePlan((0.0, 1.0), "state")
 
 
 class TestIteEvolve:
@@ -145,17 +129,6 @@ class TestIteEvolve:
         assert all(b >= a - 1e-12 for a, b in zip(fid_pair, fid_pair[1:]))
         assert fid_pair[-1] >= 1.0 - 1e-12 and fid_prod[-1] >= 1.0 - 1e-12
 
-    def test_curve_helper_matches_pointwise(self):
-        params = LmgParams(3, 2.0)
-        h = build_lmg(params)
-        vec = pair_statevector(3)
-        plan = ItePlan((0.0, 0.4, 1.1), vec)
-        states = ite_curve(h, plan)
-        for tau, state in zip(plan.tau_grid, states):
-            assert fidelity(state, ite_evolve(h, vec, tau)) == pytest.approx(
-                1.0, abs=1e-12
-            )
-
     def test_rejects_negative_tau(self):
         h = build_lmg(LmgParams(2, 1.0))
         with pytest.raises(ValueError):
@@ -169,7 +142,7 @@ class TestIteEvolve:
         with pytest.raises(ValueError, match="finite"):
             ite_evolve(h, all_down(3), tau)
         with pytest.raises(ValueError, match="finite"):
-            qitp_postselect(h, all_down(3), tau, 0.0)
+            qitp_postselect(h, [all_down(3)], tau, 0.0)
 
     def test_rejects_odd_y_hamiltonian(self):
         # X1 Y2 has an imaginary matrix; the flow needs a real one.
@@ -233,7 +206,7 @@ class TestQitpPostselect:
     def test_zero_time_returns_initial_at_half_probability(self):
         h = build_lmg(LmgParams(3, 2.0))
         vec = pair_statevector(3)
-        out, prob = qitp_postselect(h, vec, 0.0, -1.5)
+        [(out, prob)] = qitp_postselect(h, [vec], 0.0, -1.5)
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert fidelity(out, vec) == pytest.approx(1.0, abs=1e-12)
 
@@ -246,7 +219,7 @@ class TestQitpPostselect:
             direct = q_mat @ vec
             prob_direct = float(np.real(np.vdot(direct, direct)))
             direct /= np.linalg.norm(direct)
-            out, prob = qitp_postselect(h, vec, tau, -3.0)
+            [(out, prob)] = qitp_postselect(h, [vec], tau, -3.0)
             assert fidelity(out, direct) >= 1.0 - 1e-10
             assert prob == pytest.approx(prob_direct, abs=1e-12)
 
@@ -256,7 +229,7 @@ class TestQitpPostselect:
         h = build_lmg(params)
         vec = pair_statevector(4)
         energy, exact_vec = dense_ground_state(params)
-        _, prob = qitp_postselect(h, vec, 60.0, energy)
+        [(_, prob)] = qitp_postselect(h, [vec], 60.0, energy)
         assert np.sqrt(prob) == pytest.approx(
             abs(np.vdot(exact_vec, vec)) / np.sqrt(2.0), abs=1e-8
         )
@@ -266,7 +239,7 @@ class TestQitpPostselect:
         h = build_lmg(params)
         energy, _ = ground_state(params)
         with pytest.raises(ValueError):
-            qitp_postselect(h, pair_statevector(3), 2.0, energy - 20.0)
+            qitp_postselect(h, [pair_statevector(3)], 2.0, energy - 20.0)
 
     def test_matches_imaginary_time_flow_when_kernel_dominates(self):
         params = LmgParams(8, 5.0)
@@ -276,7 +249,7 @@ class TestQitpPostselect:
         vec = pair_statevector(8)
         for tau in (0.5, 1.0, 2.0):
             shift = energy - 6.9 / tau
-            out, _ = qitp_postselect(h, vec, tau, shift, eig=eig)
+            [(out, _)] = qitp_postselect(h, [vec], tau, shift, eig=eig)
             flowed = ite_evolve(h, vec, tau, eig=eig)
             assert fidelity(out, flowed) >= 1.0 - 1e-10
 
@@ -293,11 +266,8 @@ class TestQitpPostselect:
         _, exact_vec = dense_ground_state(params)
         pair_curve, prod_curve, pair_prob, prod_prob = [], [], [], []
         for tau in np.linspace(0.0, 12.0, 13):
-            out_pair, prob_pair = qitp_postselect(
-                h, pair_statevector(8), float(tau), split.stab_energy, eig=eig
-            )
-            out_prod, prob_prod = qitp_postselect(
-                h, all_down(8), float(tau), split.stab_energy, eig=eig
+            (out_pair, prob_pair), (out_prod, prob_prod) = qitp_postselect(
+                h, [pair_statevector(8), all_down(8)], float(tau), split.stab_energy, eig=eig
             )
             pair_curve.append(fidelity(out_pair, exact_vec))
             prod_curve.append(fidelity(out_prod, exact_vec))
@@ -338,9 +308,12 @@ class TestQitpPostselectBits:
                 h = build_lmg(params)
                 eig = np.linalg.eigh(h.dense_real())
                 e0 = select_split(h, params).stab_energy
-                for initial in (pair_statevector(n), all_down(n)):
-                    for tau in np.linspace(0.0, 5.0, 26):
-                        state, prob = qitp_postselect(h, initial, float(tau), e0, eig=eig)
+                initials = (pair_statevector(n), all_down(n))
+                for tau in np.linspace(0.0, 5.0, 26):
+                    # Both states share one Q; each gets its own product.
+                    got = qitp_postselect(h, initials, float(tau), e0, eig=eig)
+                    assert len(got) == len(initials)
+                    for initial, (state, prob) in zip(initials, got):
                         want, want_prob = postselect_by_block_unitary(
                             h, initial, float(tau), e0, eig
                         )
@@ -349,9 +322,9 @@ class TestQitpPostselectBits:
 
     def test_validation_shared_with_operators(self):
         with pytest.raises(ValueError):
-            qitp_postselect(build_lmg(LmgParams(3, 1.0)), all_down(3), -0.1, 0.0)
+            qitp_postselect(build_lmg(LmgParams(3, 1.0)), [all_down(3)], -0.1, 0.0)
         with pytest.raises(ResourceLimitError):
-            qitp_postselect(build_lmg(LmgParams(11, 1.0)), all_down(11), 1.0, 0.0)
+            qitp_postselect(build_lmg(LmgParams(11, 1.0)), [all_down(11)], 1.0, 0.0)
 
 
 class TestVariationalJz:

@@ -6,12 +6,16 @@ from itertools import product
 import numpy as np
 import pytest
 
+import stabsplit.cli as cli
+import stabsplit.lmg as lmg
+from stabsplit.cli import main
 from stabsplit.lmg import (
     LmgCandidate,
     LmgParams,
     build_lmg,
     best_family_energy,
     candidate_groups,
+    clear_scores,
     pair_family_group,
     parity_string,
     preparation_circuit,
@@ -274,18 +278,17 @@ class TestSelection:
     @pytest.mark.parametrize("n", [3, 8, 20])
     def test_four_expectation_passes_per_split(self, n, monkeypatch):
         # Three candidates and the guard; the split reuses the chosen
-        # candidate's expectations instead of scoring its group again.
-        calls = []
-        batched = StabilizerGroup.expectations
-
-        def counting(group, h):
-            calls.append(group)
-            return batched(group, h)
-
-        monkeypatch.setattr(StabilizerGroup, "expectations", counting)
+        # candidate's expectations instead of scoring its group again.  A
+        # second point with the same structure and key reuses all four.
+        calls = count_expectation_passes(monkeypatch)
+        clear_scores()
         params = LmgParams(n, 3.0, -1.0)
         select_split(build_lmg(params), params)
         assert len(calls) == 4
+        params = LmgParams(n, 0.7, -0.4)
+        split = select_split(build_lmg(params), params)
+        assert len(calls) == 4
+        assert split.family == "s1"
 
     def test_selected_energy_upper_bounds_exact(self):
         for n in (2, 4, 6):
@@ -295,6 +298,108 @@ class TestSelection:
                 split = select_split(h, params)
                 exact = np.linalg.eigvalsh(h.dense_real())[0]
                 assert split.stab_energy >= exact - 1e-10
+
+
+def count_expectation_passes(monkeypatch) -> list:
+    """The groups ``StabilizerGroup.expectations`` scores from now on."""
+    calls = []
+    batched = StabilizerGroup.expectations
+
+    def counting(group, h):
+        calls.append(group)
+        return batched(group, h)
+
+    monkeypatch.setattr(StabilizerGroup, "expectations", counting)
+    return calls
+
+
+class TestScoreCache:
+    """The expectations of the last structure scored are reused, and only
+    where they are the same arrays a fresh scoring would give."""
+
+    def test_permuted_from_terms_scored_fresh(self, monkeypatch):
+        params = LmgParams(5, 2.0, -0.5)
+        h = build_lmg(params)
+        cached = candidate_groups(h, params)
+        calls = count_expectation_passes(monkeypatch)
+        order = np.random.default_rng(3).permutation(len(h))
+        permuted = PauliHamiltonian.from_terms(5, [h.terms[k] for k in order])
+        fresh = candidate_groups(permuted, params)
+        assert len(calls) == 3
+        for a, b in zip(cached, fresh):
+            assert a.group == b.group
+            assert np.array_equal(b.expectations, a.expectations[order])
+            assert b.energy == pytest.approx(a.energy, rel=1e-14)
+
+    def test_cached_arrays_read_only(self):
+        params = LmgParams(6, 2.0, 0.5)
+        h = build_lmg(params)
+        select_candidate(h, params, candidate_groups(h, params))
+        for cand in candidate_groups(build_lmg(LmgParams(6, 3.0, 0.5)), params):
+            with pytest.raises(ValueError):
+                cand.expectations[0] = 0
+        # The guard's array too.
+        _, guard = lmg._LAST_SCORED["scores"]["guard"]
+        with pytest.raises(ValueError):
+            guard[0] = 0
+
+    def test_one_table_per_structure(self):
+        tables = {
+            vbar: build_lmg(LmgParams(4, vbar, -0.3)).positions
+            for vbar in (0.0, 5e-324, 1e-310, 2.0, 9.0)
+        }
+        # 5e-324 / 6 underflows to zero: no pair terms, the vbar = 0 table.
+        assert tables[5e-324] is tables[0.0]
+        assert tables[1e-310] is tables[2.0] is tables[9.0]
+        assert tables[2.0] is not tables[0.0]
+        assert build_lmg(LmgParams(4, 2.0, 0.0)).positions is not tables[2.0]
+
+    def test_hits_equal_fresh_scoring(self):
+        # Consecutive points share a table but differ in chi's sign (the
+        # Y-pair signs) or, at n = 2, in the completion's sign.
+        points = [
+            (n, chi, vbar)
+            for n in (2, 3, 6)
+            for vbar in (0.0, 5e-324, 1e-310, 2.0)
+            for chi in (-0.3, 0.5, 0.0, -1.0, 1.0)
+        ]
+        for n, chi, vbar in points:
+            params = LmgParams(n, vbar, chi)
+            h = build_lmg(params)
+            got = candidate_groups(h, params)
+            guard = symmetry_breaking_energy(h, params) if n >= 3 else None
+            clear_scores()
+            want = candidate_groups(h, params)
+            assert [c.group for c in got] == [c.group for c in want], (n, chi, vbar)
+            assert [c.energy for c in got] == [c.energy for c in want]
+            for a, b in zip(got, want):
+                assert np.array_equal(a.expectations, b.expectations)
+            if n >= 3:
+                assert guard == symmetry_breaking_energy(h, params)
+
+    def test_mixed_key_sweep_matches_fresh_scoring(self, monkeypatch, tmp_path):
+        # Keys differ in chi's sign, in the n = 2 completion (vbar = 5e-324
+        # negates it without adding terms) and in the table (vbar = 0).
+        argv = ["sweep", "--n", "2", "--n", "6", "--chi", "0.5", "--chi", "-0.3"]
+        for vbar in ("0", "5e-324", "1e-310", "2"):
+            argv += ["--vbar", vbar]
+        outputs = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.csv"
+            assert main(argv + ["--jobs", jobs, "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        scored = cli._sweep_cells
+
+        def fresh(*args):
+            clear_scores()
+            return scored(*args)
+
+        monkeypatch.setattr(cli, "_sweep_cells", fresh)
+        path = tmp_path / "fresh.csv"
+        assert main(argv + ["--jobs", "1", "--out", str(path)]) == 0
+        outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].count(b"\n") == 17
 
 
 class TestSymmetryBreakingGuard:

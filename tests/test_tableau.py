@@ -79,10 +79,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             StabilizerGroup.from_labels(["+Z1"], 2)
 
-    def test_parse_render_lines(self):
-        g = StabilizerGroup.from_labels(["-Z1", "-Z2"], 2)
-        assert StabilizerGroup.parse_lines(g.render_lines(), 2) == g
-
 
 class TestExpectation:
     def test_all_down_state(self):
