@@ -704,34 +704,52 @@ def load_benchmark_workloads():
     return module
 
 
+def run_fresh_single_thread(argvs):
+    """Outputs of ``main`` for each argv, in one fresh process with one BLAS
+    thread, as the benchmark runs them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import stabsplit.cli as cli\n"
+        "outputs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buffer = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buffer):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    outputs.append(buffer.getvalue())\n"
+        "print(json.dumps(outputs))\n"
+    )
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {**os.environ, **{name: "1" for name in threads}}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=600, check=True, env=env,
+    )
+    return json.loads(result.stdout)
+
+
 class TestFrozenPaperBytes:
     def test_paper_n8_outputs_match_benchmark_digests(self):
-        # The benchmark's N = 8 outputs, in a fresh process with one BLAS
-        # thread as the benchmark runs them, against its recorded digests.
+        # The benchmark's N = 8 outputs against its recorded digests.
         workloads = load_benchmark_workloads()
         argvs = workloads.build_workloads()["paper-n8"].argvs(0)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        probe = (
-            "import contextlib, io, json, sys\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "import stabsplit.cli as cli\n"
-            "outputs = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    buffer = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(buffer):\n"
-            "        assert cli.main(argv) == 0\n"
-            "    outputs.append(buffer.getvalue())\n"
-            "print(json.dumps(outputs))\n"
-        )
-        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        env = {**os.environ, **{name: "1" for name in threads}}
-        result = subprocess.run(
-            [sys.executable, "-c", probe, json.dumps(argvs)],
-            capture_output=True, text=True, timeout=600, check=True, env=env,
-        )
-        outputs = json.loads(result.stdout)
+        outputs = run_fresh_single_thread(argvs)
         digests = {
             argv[0]: hashlib.sha256(text.encode()).hexdigest()
             for argv, text in zip(argvs, outputs)
         }
         assert digests == workloads.PAPER_N8_SHA256
+
+    def test_variational_columns_off_the_benchmark_grid(self):
+        # The varjz and deformed mean-field columns at N = 2..10 and chi -1,
+        # 0, 0.5 and 1, away from the benchmark's N = 8 grid. Recorded at
+        # e5a6671, before the coarse scans were screened by batched energies.
+        ns = [arg for n in range(2, 11) for arg in ("--n", str(n))]
+        chis = [arg for chi in ("-1", "0", "0.5", "1") for arg in ("--chi", chi)]
+        argv = ["sweep", *ns, *chis, "--observables", "varjz,hf", "--jobs", "1"]
+        (text,) = run_fresh_single_thread([argv])
+        assert text.count("\n") == 1801
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b8a707b90c96ad9b34897d02c73db42586ac1d68032fbba735bb0a9ecfd15c35"
+        )

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, inv, sqrtm
 
+import stabsplit.evolve as evolve_module
 from stabsplit.adapt import PoolOperator
 from stabsplit.evolve import (
+    _golden_section,
+    _scan_then_refine,
     ite_evolve,
     parity_project,
     deformed_hf,
@@ -459,6 +462,122 @@ class TestDeformedHf:
         raw = fidelity(state, exact_state)
         projected = parity_project(state)
         assert fidelity(projected, exact_state) > raw
+
+
+def scalar_scan(func, lo, hi, points=81):
+    """The unscreened scan: every grid point through ``func``, then np.argmin."""
+    grid = np.linspace(lo, hi, points)
+    values = [func(x) for x in grid]
+    best = int(np.argmin(values))
+    left = grid[max(best - 1, 0)]
+    right = grid[min(best + 1, points - 1)]
+    x, fx = _golden_section(func, left, right)
+    if values[best] < fx:
+        return float(grid[best]), values[best]
+    return x, fx
+
+
+class TestScanScreen:
+    WINDOW = 1e-10
+
+    def test_batch_off_by_ulps_picks_the_scalar_minimum(self):
+        # Grid points 40 and 41 (2.0 and 2.05) straddle the minimum at 2.025,
+        # so their scalar values round to the same float; a batch nudged by a
+        # few ulps either way must not change the pick.
+        def func(x):
+            return 1.0 + 1e-6 * (x - 2.025) ** 2
+
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            ulps = rng.integers(-4, 5, 81)
+
+            def batch(grid):
+                values = np.array([func(x) for x in grid])
+                return values + ulps * np.spacing(values)
+
+            assert _scan_then_refine(func, batch, 0.0, 4.0, self.WINDOW) == scalar_scan(
+                func, 0.0, 4.0
+            )
+
+    def test_constant_function_picks_the_first_grid_point(self):
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return 0.5
+
+        x, fx = _scan_then_refine(func, lambda g: np.full(len(g), 0.5), 0.0, 4.0, self.WINDOW)
+        assert (x, fx) == scalar_scan(lambda t: 0.5, 0.0, 4.0)
+        assert 0.0 <= x <= 0.05
+        assert calls[:81] == list(np.linspace(0.0, 4.0, 81))
+
+    def test_left_edge_grid_point_beats_golden_section(self):
+        def func(x):
+            return x + 1.0
+
+        def batch(grid):
+            return grid + 1.0
+
+        assert _scan_then_refine(func, batch, 0.0, 4.0, self.WINDOW) == (0.0, 1.0)
+        assert scalar_scan(func, 0.0, 4.0) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("scalar_nan", [False, True])
+    def test_nan_in_batch_matches_argmin_of_scalar_values(self, scalar_nan):
+        # A NaN in the batch is re-checked.  If the scalar value is NaN too,
+        # np.argmin picks the first NaN, and so must the screen.
+        grid = np.linspace(0.0, 4.0, 81)
+        nan_at = {grid[10], grid[60]}
+
+        def func(x):
+            if scalar_nan and x in nan_at:
+                return float("nan")
+            return (x - 3.0) ** 2
+
+        def batch(values):
+            out = (values - 3.0) ** 2
+            out[[10, 60]] = np.nan
+            return out
+
+        got = _scan_then_refine(func, batch, 0.0, 4.0, self.WINDOW)
+        want = scalar_scan(func, 0.0, 4.0)
+        assert repr(got) == repr(want)
+        if scalar_nan:
+            assert 0.0 < got[0] < grid[11]
+        else:
+            assert got[0] == pytest.approx(3.0, abs=1e-8)
+
+    def test_all_nan_batch_rechecks_every_point(self):
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return np.cos(x)
+
+        got = _scan_then_refine(func, lambda g: np.full(len(g), np.nan), 0.0, 4.0, self.WINDOW)
+        assert got == scalar_scan(np.cos, 0.0, 4.0)
+        assert calls[:81] == list(np.linspace(0.0, 4.0, 81))
+
+    def test_scalar_evaluation_budget(self, monkeypatch):
+        # Each coarse scan re-checks a few grid points and runs about 45
+        # golden-section steps; evaluating all 81 grid points took about 126.
+        counts = []
+        scan = evolve_module._scan_then_refine
+
+        def counted(func, *args):
+            counts.append(0)
+
+            def wrapped(x):
+                counts[-1] += 1
+                return func(x)
+
+            return scan(wrapped, *args)
+
+        monkeypatch.setattr(evolve_module, "_scan_then_refine", counted)
+        params = LmgParams(8, 5.0, -1.0)
+        variational_jz(params)
+        deformed_hf(params)
+        assert len(counts) == 2
+        assert all(count <= 60 for count in counts), counts
 
 
 class TestParityProject:
