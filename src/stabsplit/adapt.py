@@ -246,22 +246,24 @@ def _exact_target(dense: np.ndarray, n: int, reference: np.ndarray):
     """Ground energy plus the comparison eigenvector for fidelity rows.
 
     When the Hamiltonian conserves parity and the reference has definite
-    parity, both 2^(n-1) parity blocks are diagonalized: the ground energy is
-    the lower level, and the comparison state is the lowest eigenvector in
-    the reference's sector; the pool cannot leave it, and near-degenerate
-    opposite-parity doublets would otherwise make the fidelity column
-    meaningless.  Otherwise the full 2^n matrix is diagonalized.
+    parity, the two 2^(n-1) parity blocks go through ``_parity_ground`` with
+    the reference's sector first: the ground energy is the lower level, and
+    the comparison state is the lowest eigenvector in the reference's
+    sector; the pool cannot leave it, and near-degenerate opposite-parity
+    doublets would otherwise make the fidelity column meaningless.
+    Otherwise the full 2^n matrix is diagonalized.
     """
     signs = 1.0 - 2.0 * (_popcounts(n) & 1)
     blocks = _parity_blocks(n)
     conserves = np.max(np.abs(dense[np.ix_(*blocks)])) < 1e-12
     ref_parity = float(np.dot(reference, signs * reference))
     if conserves and abs(abs(ref_parity) - 1.0) < 1e-8:
+        # _parity_blocks lists the (-1)^n sector first.
+        if ref_parity * (-1) ** n < 0:
+            blocks = blocks[::-1]
         ground_energy, _, vecs = _parity_ground([dense[np.ix_(b, b)] for b in blocks])
-        # Block 0 is the (-1)^n sector.
-        side = 0 if ref_parity * (-1) ** n > 0 else 1
         target = np.zeros(len(signs))
-        target[blocks[side]] = vecs[side]
+        target[blocks[0]] = vecs[0]
         return ground_energy, target
     evals, evecs = np.linalg.eigh(dense)
     return float(evals[0]), evecs[:, 0].astype(float)

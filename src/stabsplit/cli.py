@@ -208,7 +208,7 @@ def _sweep_cells(n: int, chi: float, vbar: float, observables: frozenset) -> dic
         _, dense_vec = dense_ground_state(params)
         cells["M2_exact"] = _fmt(sre(dense_vec))
     if "varjz" in observables:
-        res = variational_jz(params)
+        res = variational_jz(params, exact_state=exact_state)
         cells["E_varjz"] = _fmt(res.energy)
         cells["fid_varjz"] = _fmt(res.fidelity)
     if "hf" in observables:

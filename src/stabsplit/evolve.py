@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,8 +103,10 @@ def _projection_matrices(h, tau: float, e0_bar: float, eig, scales) -> list[np.n
         raise ResourceLimitError(f"projection operators guarded at n <= {QITP_QUBIT_LIMIT}")
     evals, evecs = _eigensystem(h, eig)
     shifted = evals - e0_bar
+    # conj() of a real array would only copy it.
+    adjoint = evecs.conj().T if np.iscomplexobj(evecs) else evecs.T
     return [
-        (evecs * np.exp(-0.5 * np.logaddexp(0.0, scale * (shifted * tau)))) @ evecs.conj().T
+        (evecs * np.exp(-0.5 * np.logaddexp(0.0, scale * (shifted * tau)))) @ adjoint
         for scale in scales
     ]
 
@@ -131,10 +134,12 @@ def qitp_postselect(
 
     The kept half of ``qitp_unitary(A, Q) @ [initial, 0]`` is Q |initial>,
     so only Q is built, once, and applied to each state as its own
-    matrix-vector product.  Returns, per state, the renormalized collapsed
-    state and the post-selection probability |Q |initial>|^2.
+    matrix-vector product.  Q is cast once to the states' common type, as
+    each product would cast it.  Returns, per state, the renormalized
+    collapsed state and the post-selection probability |Q |initial>|^2.
     """
     (q_mat,) = _projection_matrices(h, tau, e0_bar, eig, (2.0,))
+    q_mat = q_mat.astype(np.result_type(q_mat, *initials), copy=False)
     out = []
     for initial in initials:
         kept = q_mat @ initial
@@ -227,11 +232,15 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
 
 
 def variational_jz(
-    params: LmgParams, order: int = 1, reference: DickeVector | None = None
+    params: LmgParams,
+    order: int = 1,
+    reference: DickeVector | None = None,
+    exact_state: DickeVector | None = None,
 ) -> VariationalResult:
     """Minimize <H> over exp(-theta Jz) (order 1, times exp(-theta2 Jz^2) at
     order 2) applied to a reference, by default the X-pair candidate's state
-    (``s2_candidate_state``).
+    (``s2_candidate_state``).  The fidelity is taken against ``exact_state``,
+    by default ``ground_state(params)``'s state.
 
     Jz is diagonal in the collective basis, so the deformation is an
     amplitude reweighting exp(-theta M - theta2 M^2) that keeps the
@@ -252,7 +261,8 @@ def variational_jz(
     m_sq = m_vals**2
     h_mat = _collective_matrix(params, ks)
     window = _screen_window(h_mat)
-    _, exact_state = ground_state(params)
+    if exact_state is None:
+        _, exact_state = ground_state(params)
 
     def weights(theta1, theta2) -> np.ndarray:
         # Rescale by the largest exponent so wide theta2 scans cannot overflow.
@@ -322,6 +332,18 @@ def _jy_generator(n: int) -> np.ndarray:
     return gen
 
 
+@lru_cache(maxsize=4)
+def _jy_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of Jy = i (-i Jy) over the full
+    multiplet, and the conjugated first row of the vectors: the |1...1>
+    state's coefficients in that eigenbasis.  All three are read-only."""
+    evals, evecs = np.linalg.eigh(1j * _jy_generator(n))
+    base = evecs[0].conj()
+    for arr in (evals, evecs, base):
+        arr.setflags(write=False)
+    return evals, evecs, base
+
+
 def deformed_hf(params: LmgParams) -> tuple[float, DickeVector]:
     """Mean-field rotation exp(-i alpha Jy)|1...1> minimizing the energy.
 
@@ -330,10 +352,7 @@ def deformed_hf(params: LmgParams) -> tuple[float, DickeVector]:
     """
     n = params.n
     h_full = dicke_hamiltonian_full(params)
-    gen = _jy_generator(n)
-    herm = 1j * gen
-    evals, evecs = np.linalg.eigh(herm)
-    base = evecs.conj().T[:, 0]
+    evals, evecs, base = _jy_eigensystem(n)
 
     def rotated(alpha: float) -> np.ndarray:
         return np.real(evecs @ (np.exp(-1j * alpha * evals) * base))

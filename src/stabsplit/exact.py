@@ -4,13 +4,14 @@ The Hamiltonian conserves total spin and spin-flip parity, and its ground
 state lives in the maximal J = N/2 multiplet.  States there are held as real
 amplitude vectors over the spin-up counts k, giving O(N) scaling.  The
 multiplet splits into two parity sectors: even k, the (-1)^N sector connected
-to M = -N/2 (all spins down, i.e. |1...1>), and odd k.  Each sector is
-diagonalized on its own and the lower ground level wins; the odd sector
-wins only when it is lower by more than 1e-8.  For small N the dense 2^N
-Pauli matrix is diagonalized as an independent cross-check.  That route uses
-only the spin-flip parity: it splits the matrix into its two 2^(N-1) parity
-blocks under the same rule, so it also finds ground states outside the
-collective sector.
+to M = -N/2 (all spins down, i.e. |1...1>), and odd k.  The even sector is
+diagonalized, one Cholesky factorization certifies when the odd sector lies
+above its ground level, and only otherwise is the odd sector diagonalized
+too; it wins only when it is lower by more than 1e-8.  For small N the
+dense 2^N Pauli matrix is diagonalized as an independent cross-check.  That
+route uses only the spin-flip parity: it splits the matrix into its two
+2^(N-1) parity blocks under the same rule, so it also finds ground states
+outside the collective sector.
 """
 
 from __future__ import annotations
@@ -106,27 +107,55 @@ def dicke_hamiltonian_full(params: LmgParams) -> np.ndarray:
     return _collective_matrix(params, range(params.n + 1))
 
 
-def _parity_ground(blocks) -> tuple[float, int, list[np.ndarray]]:
+# Margin of the Cholesky test in _parity_ground, relative to the max row sum
+# r of |second block B|, which bounds its 2-norm.  A factorization of
+# A = B - s I that succeeds is the exact one of A + E with
+# ||E||_2 <~ d eps ||A||_2 (Higham, Accuracy and Stability of Numerical
+# Algorithms, Thm 10.3).  For s >= -2r, success needs s <~ r, so
+# ||A||_2 <= 3r and every level of B lies above s - 3 d eps r; for s < -2r
+# every level of B (>= -r) lies far above s anyway.  eigh's lowest level is
+# within about d eps r of the exact one.  At d = 2^11, the largest dense
+# block, both errors together stay below 2e-12 r, so a margin of 1e-10 r
+# leaves every certified block's eigh level above the first block's: the
+# result is the one two eighs give.
+_CERTIFY_MARGIN = 1e-10
+
+
+def _parity_ground(blocks) -> tuple[float, int, list[np.ndarray | None]]:
     """Ground level of a parity-block-diagonal matrix from its two blocks.
 
-    ``blocks`` holds the (-1)^n sector's block first.  Each block is
-    diagonalized on its own; the second wins only when its lowest level is
-    below the first's by more than 1e-8, so ties go to the (-1)^n sector.
+    ``blocks`` holds the (-1)^n sector's block first.  The first block is
+    diagonalized; one Cholesky factorization of the second, shifted to just
+    above the first's lowest level, certifies that none of its levels lies
+    below, and then the first block wins.  Only when the certificate fails
+    is the second block diagonalized, and it wins only when its lowest level
+    is below the first's by more than 1e-8, so ties go to the first.
     Returns the lower ground level, the index of the winning block and each
-    block's lowest eigenvector.
+    block's lowest eigenvector, None for a certified second block.
     """
-    sectors = [np.linalg.eigh(block) for block in blocks]
-    lows = [float(evals[0]) for evals, _ in sectors]
+    first, second = blocks
+    evals, evecs = np.linalg.eigh(first)
+    low = float(evals[0])
+    shift = low + _CERTIFY_MARGIN * float(np.abs(second).sum(axis=1).max())
+    try:
+        np.linalg.cholesky(second - shift * np.eye(len(second)))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        return low, 0, [evecs[:, 0], None]
+    evals2, evecs2 = np.linalg.eigh(second)
+    lows = [low, float(evals2[0])]
     win = 1 if lows[1] < lows[0] - 1e-8 else 0
-    return min(lows), win, [evecs[:, 0] for _, evecs in sectors]
+    return min(lows), win, [evecs[:, 0], evecs2[:, 0]]
 
 
 def ground_state(params: LmgParams) -> tuple[float, DickeVector]:
     """Ground energy and state of the J = n/2 multiplet.
 
-    The even-k and odd-k sectors are diagonalized separately, and ``ks`` of
-    the returned state are those of the winning sector.  The amplitude of
-    the sector's lowest k (M = -n/2 for even k) is made positive.
+    The even-k and odd-k sectors are searched separately
+    (``_parity_ground``), and ``ks`` of the returned state are those of the
+    winning sector.  The amplitude of the sector's lowest k (M = -n/2 for
+    even k) is made positive.
     """
     n = params.n
     sectors = (sector_ks(n), tuple(range(1, n + 1, 2)))
@@ -150,9 +179,11 @@ def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
     """Ground energy and state from the full 2^n matrix (independent route).
 
     Every pair term flips two spins, so the matrix is block-diagonal in the
-    spin-flip parity sectors of Z_1..Z_n.  Each 2^(n-1) block is diagonalized
-    on its own and the lower ground level wins; levels within 1e-8 resolve
-    to the (-1)^n sector.  The state is exactly zero in the other sector.
+    spin-flip parity sectors of Z_1..Z_n.  The two 2^(n-1) blocks go through
+    ``_parity_ground``: the (-1)^n block is diagonalized, and the other only
+    when a Cholesky test cannot show its levels lie above; the lower ground
+    level wins, and levels within 1e-8 resolve to the (-1)^n sector.  The
+    state is exactly zero in the other sector.
     Only the parity symmetry of the Pauli matrix is used, none of the
     permutation symmetry of the collective route.
     """

@@ -10,6 +10,8 @@ collective systems where no statevector exists.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .exact import DickeVector
@@ -43,6 +45,25 @@ def _walsh_leading_axis(a: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=4)
+def _xor_table(n: int, sector: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis rows b and X-parts x that ``sre`` transforms, and b ^ x over them.
+
+    ``sector`` is the popcount parity of the basis states a state lives on,
+    or None for a state on both sectors.  On one sector, conj(psi[b ^ x])
+    psi[b] vanishes unless b lies in it and x has even popcount, so only
+    those rows and columns are kept; otherwise all of them.  The arrays are
+    read-only.
+    """
+    idx = _indices(n)
+    parity = _popcounts(n) & 1
+    rows = idx if sector is None else idx[parity == sector]
+    cols = idx if sector is None else idx[parity == 0]
+    table = rows[:, None] ^ cols[None, :]
+    table.setflags(write=False)
+    return rows, cols, table
+
+
 def sre(state: np.ndarray, alpha: float = 2.0) -> float:
     """Stabilizer Renyi entropy of order alpha, in bits.
 
@@ -50,7 +71,10 @@ def sre(state: np.ndarray, alpha: float = 2.0) -> float:
     Xi_P = <P>^2 / d over all 4^n phase-free Pauli strings.  The sum is
     taken by bit-indexed traversal: for each X-part x the amplitudes
     w_b = conj(psi_{b xor x}) psi_b are Walsh-Hadamard transformed, which
-    yields <P(x, z)> for every Z-part z at once.
+    yields <P(x, z)> for every Z-part z at once.  For a state on one
+    spin-flip parity sector only the even-popcount x and the sector's b are
+    transformed, a quarter of the table; every other term is exactly zero
+    or a copy.
     """
     n = num_qubits(state)
     if n > SRE_QUBIT_LIMIT:
@@ -62,15 +86,41 @@ def sre(state: np.ndarray, alpha: float = 2.0) -> float:
         # Real amplitudes: every product, sum and abs below has the same
         # real part in complex arithmetic, so the result is bit-identical.
         state = np.real(state)
-    idx = _indices(n)
-    # Column x holds conj(psi[b ^ x]) * psi[b]; the Y phase i^|x&z| drops
+    odd = (_popcounts(n) & 1).astype(bool)
+    sector = 0 if not np.any(state[odd]) else 1 if not np.any(state[~odd]) else None
+    if n == 1:
+        # The quarter would be one element, and numpy multiplies a 1 x 1
+        # complex block without the fused multiply-add of longer rows, so
+        # its product rounds differently from the full table's.
+        sector = None
+    rows, cols, table = _xor_table(n, sector)
+    # Column j holds conj(psi[b ^ x_j]) * psi[b]; the Y phase i^|x&z| drops
     # out because each expectation is real and enters through an even power.
-    cross = np.conj(state)[idx[:, None] ^ idx[None, :]]
-    cross *= state[:, None]
+    cross = np.conj(state)[table]
+    cross *= state[rows, None]
     expect = _walsh_leading_axis(cross, np.empty_like(cross))
-    # Back to (x, z) row order, so the pairwise sum adds in the same order.
-    expect_sq = np.ascontiguousarray((np.abs(expect) ** 2).T)
-    total = float(np.sum(expect_sq**alpha))
+    if np.iscomplexobj(expect):
+        expect = np.abs(expect)
+    # e * e is abs(e) ** 2 bit for bit.
+    expect *= expect
+    expect **= alpha
+    # Back to the full (x, z) table over all 4^n strings, so the pairwise sum
+    # adds in the same order as the full transform's table.
+    if sector is None:
+        terms = np.ascontiguousarray(expect.T)
+    else:
+        # On one sector the full transform's first butterfly stage pairs
+        # each live b with a dead b ^ 1 (exact zeros).  Its even-z half is
+        # the sector's rows transformed as computed here, z = 2z'.  Its odd-z
+        # half transforms the same rows with alternating signs, which the
+        # later stages carry through exactly, negation and a - b = -(b - a)
+        # being exact: <P(x, 2z' + 1)> = +-<P(x, 2(z' ^ (d/2 - 1)))> up to
+        # the sign of zeros, so its squares are the even half's reversed.
+        # Odd-popcount x rows stay +0.0 as there.
+        terms = np.zeros((1 << n, 1 << n))
+        terms[cols, 0::2] = expect.T
+        terms[cols, 1::2] = expect.T[:, ::-1]
+    total = float(np.sum(terms))
     result = -n + np.log2(total) / (1.0 - alpha) - alpha * n / (1.0 - alpha)
     if -1e-12 < result < 0.0:
         result = 0.0

@@ -704,6 +704,30 @@ class TestExactTarget:
                 assert np.array_equal(target, ref_target)
                 assert energy == pytest.approx(ref_energy, abs=1e-12)
 
+    @pytest.mark.parametrize("n", (3, 6, 8))
+    def test_matches_two_eigh_parity_ground(self, n, monkeypatch):
+        # Bit for bit what diagonalizing both parity blocks gives, with the
+        # reference on either sector.
+        one_flip = np.zeros(1 << n)
+        one_flip[-2] = 1.0
+        references = [adapt_module._as_real_state(r) for r in (pair_state(n), one_flip)]
+        cases = []
+        for params in (LmgParams(n, 5.0), LmgParams(n, 1.4563484775012436, 0.5)):
+            dense = build_lmg(params).dense_real()
+            for reference in references:
+                cases.append((dense, reference, adapt_module._exact_target(dense, n, reference)))
+
+        def two_eighs(blocks):
+            sectors = [np.linalg.eigh(block) for block in blocks]
+            lows = [float(evals[0]) for evals, _ in sectors]
+            return min(lows), None, [evecs[:, 0] for _, evecs in sectors]
+
+        monkeypatch.setattr(adapt_module, "_parity_ground", two_eighs)
+        for dense, reference, (energy, target) in cases:
+            ref_energy, ref_target = adapt_module._exact_target(dense, n, reference)
+            assert energy == ref_energy
+            assert target.tobytes() == ref_target.tobytes()
+
     def test_no_full_eigh_for_a_definite_parity_reference(self, monkeypatch):
         sizes = []
         real_eigh = np.linalg.eigh
@@ -715,7 +739,8 @@ class TestExactTarget:
         monkeypatch.setattr(np.linalg, "eigh", recording)
         dense = build_lmg(LmgParams(4, 5.0)).dense_real()
         adapt_module._exact_target(dense, 4, all_down(4))
-        assert sizes == [8, 8]
+        # The other block is certified above by one Cholesky, not diagonalized.
+        assert sizes == [8]
         mixed = (all_down(4) + np.eye(16)[-2]) / np.sqrt(2.0)
         adapt_module._exact_target(dense, 4, mixed)
-        assert sizes == [8, 8, 16]
+        assert sizes == [8, 16]

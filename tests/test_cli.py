@@ -753,3 +753,19 @@ class TestFrozenPaperBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "b8a707b90c96ad9b34897d02c73db42586ac1d68032fbba735bb0a9ecfd15c35"
         )
+
+    def test_energies_and_magic_off_the_benchmark_grid(self):
+        # E_exact and M2_exact at N = 2..10 and chi -1, 0, 0.5 and 1. The
+        # second parity block is certified above at chi = -1 and diagonalized
+        # where the sectors nearly tie (chi = 0, strong coupling) or the odd
+        # one is lower (chi >= 0.5). Recorded at c299eb3, when both blocks
+        # were always diagonalized.
+        ns = [arg for n in range(2, 11) for arg in ("--n", str(n))]
+        chis = [arg for chi in ("-1", "0", "0.5", "1") for arg in ("--chi", chi)]
+        argv = ["sweep", *ns, *chis, "--observables", "energies,magic"]
+        argv += ["--vbar-points", "8", "--jobs", "1"]
+        (text,) = run_fresh_single_thread([argv])
+        assert text.count("\n") == 289
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "cc5f747c52201fbe0002644020a07995a1e776aeb6890681dd8581c60a6ecade"
+        )

@@ -402,6 +402,21 @@ class TestVariationalJz:
         assert result.energy == pytest.approx(energy(result.state), abs=1e-12)
         assert result.energy < energy(reference) - 1e-3
 
+    def test_given_exact_state_is_not_solved_again(self, monkeypatch):
+        params = LmgParams(6, 3.0, -0.5)
+        want = variational_jz(params)
+        _, exact_state = ground_state(params)
+
+        def unexpected(_):
+            raise AssertionError("ground_state called")
+
+        monkeypatch.setattr(evolve_module, "ground_state", unexpected)
+        got = variational_jz(params, exact_state=exact_state)
+        assert (got.theta_opt, got.energy, got.fidelity) == (
+            want.theta_opt, want.energy, want.fidelity
+        )
+        assert got.state.amps.tobytes() == want.state.amps.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             variational_jz(LmgParams(4, 2.0), order=3)
@@ -454,6 +469,25 @@ class TestDeformedHf:
         vec = dicke_to_statevector(state)
         for order in range(2, 7):
             assert n_tangle(vec, order) <= 1e-10
+
+    def test_one_jy_eigh_per_n(self, monkeypatch):
+        evolve_module._jy_eigensystem.cache_clear()
+        sizes = []
+        real_eigh = np.linalg.eigh
+
+        def recording(mat):
+            sizes.append(len(mat))
+            return real_eigh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        first = [deformed_hf(LmgParams(6, vbar)) for vbar in (0.5, 5.0)]
+        assert sizes == [7]
+        evolve_module._jy_eigensystem.cache_clear()
+        again = deformed_hf(LmgParams(6, 5.0))
+        assert sizes == [7, 7]
+        assert again[0] == first[1][0]
+        assert again[1].amps.tobytes() == first[1][1].amps.tobytes()
+        assert not any(arr.flags.writeable for arr in evolve_module._jy_eigensystem(6))
 
     def test_projection_improves_fidelity(self):
         params = LmgParams(8, 10.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import stabsplit.exact as exact_module
 from stabsplit.exact import (
     DickeVector,
     dense_ground_state,
@@ -218,6 +219,99 @@ class TestParityBlocks:
         energy, state = ground_state(LmgParams(8, 7.0 / 6.0, 1.0))
         assert energy == pytest.approx(-25.0 / 6.0, abs=1e-10)
         assert state.ks == (1, 3, 5, 7)
+
+
+def two_eigh_parity_ground(blocks):
+    """The earlier ``_parity_ground``: eigh of both blocks, the second wins
+    only when lower by more than 1e-8."""
+    sectors = [np.linalg.eigh(block) for block in blocks]
+    lows = [float(evals[0]) for evals, _ in sectors]
+    win = 1 if lows[1] < lows[0] - 1e-8 else 0
+    return min(lows), win, [evecs[:, 0] for _, evecs in sectors]
+
+
+def count_eighs(monkeypatch):
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def recording(mat):
+        sizes.append(len(mat))
+        return real_eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+TIE = LmgParams(2, 1.0, 1.0)
+
+
+class TestCertifiedSecondBlock:
+    """One Cholesky certifies the second block; the results must be those of
+    two eighs bit for bit, and a block the test cannot clear is diagonalized."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_two_eigh_reference(self, n, monkeypatch):
+        points = parity_grid(n) + ([TIE] if n == TIE.n else [])
+        got = [(dense_ground_state(p), ground_state(p)) for p in points]
+        monkeypatch.setattr(exact_module, "_parity_ground", two_eigh_parity_ground)
+        for params, ((energy, vec), (c_energy, state)) in zip(points, got):
+            ref_energy, ref_vec = dense_ground_state(params)
+            assert energy == ref_energy
+            assert vec.tobytes() == ref_vec.tobytes()
+            ref_c_energy, ref_state = ground_state(params)
+            assert c_energy == ref_c_energy
+            assert state.ks == ref_state.ks
+            assert state.amps.tobytes() == ref_state.amps.tobytes()
+
+    @pytest.mark.parametrize("params", [ODD_WINNER, TIE, LmgParams(7, 100.0, 0.0)])
+    def test_blocks_match_two_eigh_reference(self, params):
+        h = build_lmg(params).dense_real()
+        blocks = [h[np.ix_(b, b)] for b in exact_module._parity_blocks(params.n)]
+        energy, win, vecs = exact_module._parity_ground(blocks)
+        ref_energy, ref_win, ref_vecs = two_eigh_parity_ground(blocks)
+        assert (energy, win) == (ref_energy, ref_win)
+        assert vecs[0].tobytes() == ref_vecs[0].tobytes()
+        # Each point needs the fallback: an odd winner, a tie, and sectors
+        # degenerate to 4e-14 at chi = 0.
+        assert vecs[1] is not None and vecs[1].tobytes() == ref_vecs[1].tobytes()
+
+    @staticmethod
+    def margin(second):
+        return exact_module._CERTIFY_MARGIN * np.abs(second).sum(axis=1).max()
+
+    def test_block_within_margin_falls_back(self, monkeypatch):
+        first = np.diag([1.0, 3.0, 4.0])
+        second = np.diag([5.0, 4.0, 1.0])
+        second[2, 2] += 0.5 * self.margin(second)
+        sizes = count_eighs(monkeypatch)
+        energy, win, vecs = exact_module._parity_ground([first, second])
+        assert sizes == [3, 3]
+        assert (energy, win) == (1.0, 0)
+        assert vecs[1] is not None
+
+    def test_block_below_falls_back_and_wins(self, monkeypatch):
+        first = np.diag([1.0, 3.0])
+        second = np.array([[0.5, 0.1], [0.1, 2.0]])
+        want = np.linalg.eigh(second)[0][0]
+        sizes = count_eighs(monkeypatch)
+        energy, win, vecs = exact_module._parity_ground([first, second])
+        assert sizes == [2, 2]
+        assert (energy, win) == (want, 1)
+
+    def test_block_above_the_margin_is_certified(self, monkeypatch):
+        first = np.diag([1.0, 3.0, 4.0])
+        second = np.diag([5.0, 4.0, 1.0])
+        second[2, 2] += 2.0 * self.margin(second)
+        sizes = count_eighs(monkeypatch)
+        energy, win, vecs = exact_module._parity_ground([first, second])
+        assert sizes == [3]
+        assert (energy, win) == (1.0, 0)
+        assert vecs[1] is None
+
+    def test_one_eigh_on_the_benchmark_grid(self, monkeypatch):
+        sizes = count_eighs(monkeypatch)
+        dense_ground_state(LmgParams(8, 5.0, -1.0))
+        assert sizes == [128]
 
 
 class TestStatevectorExpansion:

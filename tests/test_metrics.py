@@ -205,6 +205,75 @@ class TestSreKernel:
             assert abs(sre(state)) < 1e-12
 
 
+def sre_full_transform_reference(state, alpha=2.0):
+    """The earlier ``sre``: every X-part x transformed, the dead ones of a
+    one-sector state included, and the table squared through abs."""
+    n = int(np.log2(len(state)))
+    if not np.any(np.imag(state)):
+        state = np.real(state)
+    idx = np.arange(1 << n)
+    cross = np.conj(state)[idx[:, None] ^ idx[None, :]]
+    cross *= state[:, None]
+    a, spare = cross, np.empty_like(cross)
+    h = 1
+    while h < len(idx):
+        src = a.reshape((len(idx) // (2 * h), 2, h, len(idx)))
+        dst = spare.reshape(src.shape)
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        a, spare = spare, a
+        h *= 2
+    expect_sq = np.ascontiguousarray((np.abs(a) ** 2).T)
+    total = float(np.sum(expect_sq**alpha))
+    result = -n + np.log2(total) / (1.0 - alpha) - alpha * n / (1.0 - alpha)
+    if -1e-12 < result < 0.0:
+        result = 0.0
+    return float(result)
+
+
+class TestSreOneSector:
+    """Transforming only the live quarter of a one-sector state's table (the
+    sector's rows, the even-popcount X-parts) must give the full transform's
+    float, not merely a close one."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bit_identical_to_full_transform(self, n):
+        rng = np.random.default_rng(59 + n)
+        odd = (np.bitwise_count(np.arange(1 << n)) & 1).astype(bool)
+        raw = [rng.normal(size=1 << n), rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)]
+        sparse = raw[1] * (rng.random(1 << n) < 0.4)
+        sparse[:2] += 1.0
+        states = []
+        for vec in raw + [sparse]:
+            for dead in (odd, ~odd, None):
+                state = vec.copy()
+                if dead is not None:
+                    state[dead] = 0.0
+                states.append(state / np.linalg.norm(state))
+        if n >= 2:
+            states += [
+                dense_ground_state(LmgParams(n, vbar, chi))[1]
+                for vbar, chi in ((0.3, -1.0), (5.0, 0.0), (1.4563484775012436, 0.5))
+            ]
+        for state in states:
+            for alpha in (0.5, 1.5, 2.0, 3.0):
+                assert sre(state, alpha) == sre_full_transform_reference(state, alpha)
+
+    def test_single_qubit_phases_bit_identical(self):
+        # One amplitude e^(i phi): at n = 1 the quarter would be a 1 x 1
+        # complex product, which numpy rounds without a fused multiply-add.
+        for phi in np.linspace(0.0, 2.0 * np.pi, 200):
+            for state in (np.array([np.exp(1j * phi), 0.0]), np.array([0.0, np.exp(1j * phi)])):
+                assert sre(state) == sre_full_transform_reference(state)
+
+    def test_stabilizer_states_bit_identical(self):
+        rng = np.random.default_rng(61)
+        for n in (1, 3, 6, 9):
+            state, _ = random_clifford_state(rng, n)
+            for alpha in (0.5, 2.0):
+                assert sre(state, alpha) == sre_full_transform_reference(state, alpha)
+
+
 class TestOneSpinEntropy:
     def entropy_oracle(self, state, n):
         block = state.reshape(2, 1 << (n - 1))
