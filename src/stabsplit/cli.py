@@ -10,11 +10,11 @@ computation failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -280,6 +280,9 @@ def run_sweep(opt: dict) -> int:
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: the pool's import costs every other command's start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_row_worker, tasks))
     else:
@@ -364,7 +367,7 @@ def run_qitp(opt: dict) -> int:
     candidates = candidate_groups(h, params)
     e0 = opt["e0"] if opt["e0"] is not None else select_candidate(h, params, candidates).energy
     # The s1 and s2 starts, in column order.
-    initials = [c.group.to_statevector() for c in candidates if c.family != "s3"]
+    initials = [c.group.to_statevector() for c in candidates]
     rows = []
     for tau in np.linspace(0.0, opt["tau_max"], opt["tau_points"]):
         evolved = qitp_postselect(h, initials, float(tau), e0, eig=eig)
@@ -501,8 +504,10 @@ SETTINGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per ``SETTINGS`` entry, one flag per setting."""
+    """One subparser per ``SETTINGS`` entry, one flag per setting; built on
+    first use and shared by every later ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="stabsplit",
         description="Stabilizer splits, state preparation, and deformation "

@@ -5,11 +5,12 @@ The model on N spins, with pair couplings uniformly rescaled by 1/(N - 1):
     H = (1/2) sum_i Z_i - vbar/(2(N-1)) sum_{i<j} (X_i X_j + chi Y_i Y_j)
 
 Spin up maps to |0> and spin down to |1>, so the vbar = 0 ground state is
-|1...1>.  Three stabilizer families compete for the lowest stabilizer energy:
-the product family (single-qubit Z generators), the X-pair family, and the
-Y-pair family, the latter two completed by the parity string Z_1..Z_N.  The
-energy-optimal group of each family is known in closed form at every N, so
-each family contributes exactly one candidate.
+|1...1>.  Two stabilizer families compete for the lowest stabilizer energy:
+the product family (single-qubit Z generators) and the X-pair family,
+completed by the parity string Z_1..Z_N.  The energy-optimal group of each
+family is known in closed form at every N, so each family contributes
+exactly one candidate.  (The Y-pair family never scores below the X-pair
+family, since |chi| <= 1, so it is not a candidate.)
 """
 
 from __future__ import annotations
@@ -151,19 +152,6 @@ def pair_family_group(
     return StabilizerGroup(n, tuple(gens))
 
 
-def _optimal_pair_signs(n: int, chi: float) -> tuple[int, ...]:
-    """Y-pair signs minimizing the pair-coupling energy.
-
-    For chi >= 0 every pair expectation should be +1.  For chi < 0 the best
-    achievable pattern splits the n - 1 generator signs as evenly as the
-    parity constraint allows.
-    """
-    if chi >= 0:
-        return (1,) * (n - 1)
-    plus = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-    return (1,) * plus + (-1,) * (n - 1 - plus)
-
-
 def negated_pair_completion(params: LmgParams) -> bool:
     """Whether the energy-optimal X-pair group completes with -Z1Z2.
 
@@ -178,12 +166,10 @@ def negated_pair_completion(params: LmgParams) -> bool:
 def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidate]:
     """The energy-optimal group of each family with its energy, in family order.
 
-    The product family puts every spin down, the X-pair family makes every
-    X_i X_n positive and completes with ``negated_pair_completion``'s sign,
-    and the Y-pair family takes ``_optimal_pair_signs``.  For n = 2 the
-    Y-pair family duplicates the X-pair groups and is skipped.  The groups
-    and their expectations come from ``_scored``; the energies are summed
-    afresh from ``h``'s coefficients.
+    The product family puts every spin down, and the X-pair family makes
+    every X_i X_n positive and completes with ``negated_pair_completion``'s
+    sign.  The groups and their expectations come from ``_scored``; the
+    energies are summed afresh from ``h``'s coefficients.
     """
     n = params.n
     completion = parity_string(2).negate() if negated_pair_completion(params) else None
@@ -191,10 +177,6 @@ def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidat
         ("s1", lambda: product_family_group(n, (-1,) * n)),
         ("s2", lambda: pair_family_group(n, "X", (1,) * (n - 1), completion)),
     ]
-    if n > 2:
-        builders.append(
-            ("s3", lambda: pair_family_group(n, "Y", _optimal_pair_signs(n, params.chi)))
-        )
     candidates = []
     for family, build in builders:
         group, values = _scored(h, params, family, build)
@@ -218,13 +200,13 @@ def _scored(h: PauliHamiltonian, params: LmgParams, name: str, build):
     every term of ``h``, reused while h's structure and the groups stay put.
 
     Expectations depend only on the position table and the group, and each
-    named group only on n, ``chi >= 0`` and ``negated_pair_completion``.
+    named group only on n and ``negated_pair_completion``.
     ``build_lmg`` shares one table per (n, number of term kinds), so a sweep
     over vbar at fixed (N, chi) scores its groups once.  The table is matched
     by identity: any other table (``from_terms``, ``subset``, a vbar whose
     pair terms vanish) misses and is scored fresh.
     """
-    key = (h.n, params.n, params.chi >= 0, negated_pair_completion(params))
+    key = (h.n, params.n, negated_pair_completion(params))
     if _LAST_SCORED["table"] is not h.positions or _LAST_SCORED["key"] != key:
         _LAST_SCORED.update(table=h.positions, key=key, scores={})
     scores = _LAST_SCORED["scores"]
@@ -270,11 +252,11 @@ def select_candidate(
 
     Candidates within 1e-12 relative energy count as tied and resolve toward
     the earlier one; ``candidate_groups`` lists the families in order, so the
-    product family wins a tie, then the X-pair family.  The
-    tolerance keeps the selection transition exact: at the degenerate
-    coupling the pair energy sums n(n-1)/2 copies of vbar/(2(n-1)), whose
-    rounding (well under 1e-13 relative) must not pick the winner, while a
-    genuine coupling offset of 1e-9 still flips the selection.  The sums run
+    product family wins a tie with the X-pair family.  The tolerance keeps
+    the selection transition exact: at the degenerate coupling the pair
+    energy sums n(n-1)/2 copies of vbar/(2(n-1)), whose rounding (well under
+    1e-13 relative) must not pick the winner, while a genuine coupling
+    offset of 1e-9 still flips the selection.  The sums run
     left to right in term order (see ``hamiltonian_energy``), so ties
     resolve the same way on every Python version.  For n >= 3 the
     symmetry-breaking pair group must not beat the choice.

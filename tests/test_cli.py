@@ -683,15 +683,29 @@ class TestEntryPoints:
 
     def test_import_loads_no_scipy(self):
         # scipy is a test-only dependency; the command must start without it.
+        # Nor does it load the process pool, which only a sweep with
+        # --jobs > 1 starts.
         src = str(Path(cli.__file__).resolve().parents[1])
         probe = (
             f"import sys; sys.path.insert(0, {src!r}); import stabsplit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('multiprocessing', 'concurrent.futures.process')))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
         )
         assert result.stdout.strip() == "[]"
+
+    def test_parser_built_once_and_reused(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["decompose", "--n", "5", "--vbar", "3", "--chi", "0.5"]
+        first = run_cli(capsys, argv)
+        with pytest.raises(SystemExit) as info:
+            main(["prepare", "--n", "3", "--family", "s3"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, argv) == first
+        assert first[0] == 0 and first[1].startswith("family: s2\n")
 
 
 def load_benchmark_workloads():

@@ -123,7 +123,9 @@ class TestPackedBuild:
 
 @lru_cache(maxsize=None)
 def _reference_groups(n):
-    """(family, group) for every generator sign pattern of each family."""
+    """(family, group) for every generator sign pattern of each family,
+    including the Y-pair family "s3", which ``candidate_groups`` leaves out
+    because it never scores below the X-pair family."""
     groups = [("s1", product_family_group(n, signs)) for signs in product((1, -1), repeat=n)]
     for signs in product((1, -1), repeat=n - 1):
         for completion in (parity_string(n), parity_string(n).negate()):
@@ -165,13 +167,10 @@ class TestClosedFormCandidates:
                     first_min = min(
                         (c for c in ref if c.family == cand.family), key=lambda c: c.energy
                     )
-                    if cand.family == "s3":
-                        # Another sign pattern with the same exact energy may
-                        # round lower; s3 never wins the selection.
-                        assert cand.energy == pytest.approx(first_min.energy, rel=1e-12)
-                    else:
-                        assert cand.energy == first_min.energy, (chi, vbar, cand.family)
-                        assert cand.group == first_min.group, (chi, vbar, cand.family)
+                    assert cand.energy == first_min.energy, (chi, vbar, cand.family)
+                    assert cand.group == first_min.group, (chi, vbar, cand.family)
+                # ref holds every Y-pair group too, so no selection moves
+                # without them.
                 chosen = select_candidate(h, params, got)
                 want = select_candidate(h, params, ref)
                 assert chosen.family == want.family, (chi, vbar)
@@ -184,7 +183,22 @@ class TestClosedFormCandidates:
             for vbar in (0.0, 2.0, 5.0):
                 params = LmgParams(n, vbar, chi)
                 families = [c.family for c in candidate_groups(build_lmg(params), params)]
-                assert families == (["s1", "s2"] if n == 2 else ["s1", "s2", "s3"])
+                assert families == ["s1", "s2"]
+
+
+def y_pair_energy(h, params):
+    """Energy of the energy-optimal Y-pair group on h, for n > 2.
+
+    For chi >= 0 every Y_i Y_n is positive; for chi < 0 the n - 1 generator
+    signs split as evenly as the parity completion allows.
+    """
+    n = params.n
+    if params.chi >= 0:
+        signs = (1,) * (n - 1)
+    else:
+        plus = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
+        signs = (1,) * plus + (-1,) * (n - 1 - plus)
+    return pair_family_group(n, "Y", signs).energy(h)
 
 
 class TestCandidateEnergies:
@@ -207,7 +221,10 @@ class TestCandidateEnergies:
         assert best_family_energy(cands, "s1") == pytest.approx(-n / 2, abs=1e-12)
         assert best_family_energy(cands, "s2") == pytest.approx(-n * vbar / 4, abs=1e-12)
         want_s3 = -n * vbar / (4 * (n - 1)) if n % 2 == 0 else -vbar / 4
-        assert best_family_energy(cands, "s3") == pytest.approx(want_s3, abs=1e-12)
+        e_s3 = y_pair_energy(h, params)
+        assert e_s3 == pytest.approx(want_s3, abs=1e-12)
+        e_s2 = best_family_energy(cands, "s2")
+        assert e_s3 >= e_s2 - 1e-12 * abs(e_s2)
 
     def test_two_spin_pair_energy(self):
         # With the YY operator inside the pair group the n = 2 energy is -vbar.
@@ -236,10 +253,11 @@ class TestCandidateEnergies:
         # For chi > 0 all pair expectations can reach +1, so the Y family
         # tracks the X family scaled by chi.
         params = LmgParams(5, 2.0, 0.5)
-        cands = candidate_groups(build_lmg(params), params)
-        assert best_family_energy(cands, "s3") == pytest.approx(
-            0.5 * best_family_energy(cands, "s2"), abs=1e-12
-        )
+        h = build_lmg(params)
+        e_s2 = best_family_energy(candidate_groups(h, params), "s2")
+        e_s3 = y_pair_energy(h, params)
+        assert e_s3 == pytest.approx(0.5 * e_s2, abs=1e-12)
+        assert e_s3 >= e_s2 - 1e-12 * abs(e_s2)
 
 
 class TestSelection:
@@ -276,18 +294,18 @@ class TestSelection:
         assert split.group.energy(split.magic_part) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [3, 8, 20])
-    def test_four_expectation_passes_per_split(self, n, monkeypatch):
-        # Three candidates and the guard; the split reuses the chosen
+    def test_three_expectation_passes_per_split(self, n, monkeypatch):
+        # Two candidates and the guard; the split reuses the chosen
         # candidate's expectations instead of scoring its group again.  A
-        # second point with the same structure and key reuses all four.
+        # second point with the same structure and key reuses all three.
         calls = count_expectation_passes(monkeypatch)
         clear_scores()
         params = LmgParams(n, 3.0, -1.0)
         select_split(build_lmg(params), params)
-        assert len(calls) == 4
+        assert len(calls) == 3
         params = LmgParams(n, 0.7, -0.4)
         split = select_split(build_lmg(params), params)
-        assert len(calls) == 4
+        assert len(calls) == 3
         assert split.family == "s1"
 
     def test_selected_energy_upper_bounds_exact(self):
@@ -325,7 +343,7 @@ class TestScoreCache:
         order = np.random.default_rng(3).permutation(len(h))
         permuted = PauliHamiltonian.from_terms(5, [h.terms[k] for k in order])
         fresh = candidate_groups(permuted, params)
-        assert len(calls) == 3
+        assert len(calls) == 2
         for a, b in zip(cached, fresh):
             assert a.group == b.group
             assert np.array_equal(b.expectations, a.expectations[order])
@@ -355,8 +373,8 @@ class TestScoreCache:
         assert build_lmg(LmgParams(4, 2.0, 0.0)).positions is not tables[2.0]
 
     def test_hits_equal_fresh_scoring(self):
-        # Consecutive points share a table but differ in chi's sign (the
-        # Y-pair signs) or, at n = 2, in the completion's sign.
+        # Consecutive points share a table but differ in chi's sign, which no
+        # group depends on, or, at n = 2, in the completion's sign.
         points = [
             (n, chi, vbar)
             for n in (2, 3, 6)
@@ -378,8 +396,9 @@ class TestScoreCache:
                 assert guard == symmetry_breaking_energy(h, params)
 
     def test_mixed_key_sweep_matches_fresh_scoring(self, monkeypatch, tmp_path):
-        # Keys differ in chi's sign, in the n = 2 completion (vbar = 5e-324
-        # negates it without adding terms) and in the table (vbar = 0).
+        # Points differ in chi's sign (no key does), in the n = 2 completion
+        # (vbar = 5e-324 negates it without adding terms) and in the table
+        # (vbar = 0).
         argv = ["sweep", "--n", "2", "--n", "6", "--chi", "0.5", "--chi", "-0.3"]
         for vbar in ("0", "5e-324", "1e-310", "2"):
             argv += ["--vbar", vbar]
