@@ -22,7 +22,7 @@ import numpy as np
 
 from .exact import (
     DickeVector,
-    _collective_matrix,
+    _ladder,
     dicke_hamiltonian_full,
     fidelity,
     ground_state,
@@ -259,7 +259,7 @@ def variational_jz(
         raise ValueError("reference must hold n spins on one parity sector, k all even or all odd")
     m_vals = np.array(ks, dtype=float) - n / 2.0
     m_sq = m_vals**2
-    h_mat = _collective_matrix(params, ks)
+    h_mat = dicke_hamiltonian_full(params)[np.ix_(ks, ks)]
     window = _screen_window(h_mat)
     if exact_state is None:
         _, exact_state = ground_state(params)
@@ -321,15 +321,10 @@ def variational_jz(
 
 
 def _jy_generator(n: int) -> np.ndarray:
-    """-i Jy over the full collective multiplet: real antisymmetric."""
-    j = n / 2.0
-    gen = np.zeros((n + 1, n + 1))
-    for k in range(n):
-        m = k - j
-        step = 0.5 * np.sqrt((j - m) * (j + m + 1))
-        gen[k, k + 1] = step
-        gen[k + 1, k] = -step
-    return gen
+    """-i Jy = (J_- - J_+) / 2 over the full collective multiplet: real
+    antisymmetric, its band half of each ``_ladder`` coefficient."""
+    step = 0.5 * _ladder(n)
+    return np.diag(step, 1) - np.diag(step, -1)
 
 
 @lru_cache(maxsize=4)

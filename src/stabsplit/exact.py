@@ -17,7 +17,8 @@ outside the collective sector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, sqrt
 
 import numpy as np
 
@@ -67,44 +68,45 @@ def sector_ks(n: int) -> tuple[int, ...]:
     return tuple(range(0, n + 1, 2))
 
 
-def _collective_matrix(params: LmgParams, ks) -> np.ndarray:
-    """Matrix of H over |J, M = k - J> for the given spin-up counts.
+def _ladder(n: int) -> np.ndarray:
+    """J_+ coefficients <M + 1|J_+|M> = sqrt((j - m)(j + m + 1)) for
+    M = k - n/2, k = 0..n-1."""
+    j = n / 2.0
+    m = np.arange(n) - j
+    return np.sqrt((j - m) * (j + m + 1))
+
+
+@lru_cache(maxsize=4)
+def dicke_hamiltonian_full(params: LmgParams) -> np.ndarray:
+    """H over the whole J = n/2 multiplet, both parity sectors, (n+1)^2:
 
     H = J_z - vbar/(n-1) [ (1+chi)/2 (J^2 - J_z^2)
                            + (1-chi)/4 (J_+^2 + J_-^2) ]
         + vbar n (1+chi) / (4 (n-1)),
 
     the constant arising from sum_{i<j} X_i X_j = 2 J_x^2 - n/2 (and likewise
-    for Y).
+    for Y).  The J_+^2 band is the product of neighbouring ``_ladder``
+    coefficients.  Read-only and cached per ``params``; every sector matrix
+    is an ``np.ix_`` slice of it.
     """
     n, vbar, chi = params.n, params.vbar, params.chi
     j = n / 2.0
-    ks = list(ks)
-    dim = len(ks)
-    pos = {k: i for i, k in enumerate(ks)}
+    m = np.arange(n + 1) - j
     shift = vbar * n * (1 + chi) / (4.0 * (n - 1))
-    mat = np.zeros((dim, dim))
-    for i, k in enumerate(ks):
-        m = k - j
-        mat[i, i] = (
-            m - (vbar / (n - 1)) * 0.5 * (1 + chi) * (j * (j + 1) - m * m) + shift
-        )
-        if k + 2 in pos:
-            amp = np.sqrt((j - m) * (j + m + 1)) * np.sqrt((j - m - 1) * (j + m + 2))
-            val = -(vbar / (n - 1)) * 0.25 * (1 - chi) * amp
-            mat[i, pos[k + 2]] = val
-            mat[pos[k + 2], i] = val
+    # Scalar factors first, left to right, then the arrays: the bits of a per-k build.
+    mat = np.diag(m - (vbar / (n - 1)) * 0.5 * (1 + chi) * (j * (j + 1) - m * m) + shift)
+    ladder = _ladder(n)
+    band = -(vbar / (n - 1)) * 0.25 * (1 - chi) * (ladder[:-1] * ladder[1:])
+    k = np.arange(n - 1)
+    mat[k, k + 2] = mat[k + 2, k] = band
+    mat.setflags(write=False)
     return mat
 
 
 def dicke_hamiltonian(params: LmgParams) -> np.ndarray:
     """H restricted to the even-k, (-1)^n sector of the J = n/2 multiplet."""
-    return _collective_matrix(params, sector_ks(params.n))
-
-
-def dicke_hamiltonian_full(params: LmgParams) -> np.ndarray:
-    """H over the whole J = n/2 multiplet, both parity sectors, (n+1)^2."""
-    return _collective_matrix(params, range(params.n + 1))
+    ks = sector_ks(params.n)
+    return dicke_hamiltonian_full(params)[np.ix_(ks, ks)]
 
 
 # Margin of the Cholesky test in _parity_ground, relative to the max row sum
@@ -159,9 +161,8 @@ def ground_state(params: LmgParams) -> tuple[float, DickeVector]:
     """
     n = params.n
     sectors = (sector_ks(n), tuple(range(1, n + 1, 2)))
-    energy, win, vecs = _parity_ground(
-        (dicke_hamiltonian(params), _collective_matrix(params, sectors[1]))
-    )
+    full = dicke_hamiltonian_full(params)
+    energy, win, vecs = _parity_ground([full[np.ix_(ks, ks)] for ks in sectors])
     vec = vecs[win]
     anchor = vec[0] if abs(vec[0]) > 1e-12 else vec[np.argmax(np.abs(vec))]
     if anchor < 0:
@@ -228,7 +229,7 @@ def stab_state_dicke_amplitudes(n: int, family: str) -> DickeVector:
         amps = np.zeros(len(ks))
         amps[0] = 1.0
     elif family == "s2":
-        amps = np.array([np.sqrt(comb(n, k) / 2.0 ** (n - 1)) for k in ks])
+        amps = np.array([sqrt(comb(n, k) / 2 ** (n - 1)) for k in ks])
     else:
         raise ValueError(f"no collective amplitudes for family {family!r}")
     return DickeVector(n, ks, amps)

@@ -201,6 +201,17 @@ class TestSweep:
         assert rows[0]["M2_exact"] == ""
         assert rows[0]["E_exact"] != ""
 
+    def test_pair_state_beyond_float_power_limit(self, capsys):
+        # 2.0 ** (n - 1) overflows from N = 1025; the pair amplitudes do not.
+        code, out, _ = run_cli(capsys, ["sweep", "--n", "1030", "--vbar", "5", "--jobs", "1"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        row = rows[0]
+        assert row["M2_exact"] == ""
+        assert all(row[col] not in ("", "ERROR") for col in COLUMNS if col != "M2_exact")
+        assert float(row["E_s1"]) == pytest.approx(-515.0, rel=1e-9)
+        assert float(row["E_s2"]) == pytest.approx(-1287.5, rel=1e-9)
+
     def test_magic_explicit_above_limit_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, ["sweep", "--n", "11", "--vbar", "1", "--observables", "magic"]

@@ -1,8 +1,12 @@
 """Collective-sector exact diagonalization against dense and analytic oracles."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
+import stabsplit.cli as cli
+import stabsplit.evolve as evolve_module
 import stabsplit.exact as exact_module
 from stabsplit.exact import (
     DickeVector,
@@ -31,7 +35,98 @@ def three_spin_block(vbar):
     )
 
 
+def loop_collective_matrix(params, ks):
+    """The earlier per-k builder of H over the given spin-up counts."""
+    n, vbar, chi = params.n, params.vbar, params.chi
+    j = n / 2.0
+    ks = list(ks)
+    pos = {k: i for i, k in enumerate(ks)}
+    shift = vbar * n * (1 + chi) / (4.0 * (n - 1))
+    mat = np.zeros((len(ks), len(ks)))
+    for i, k in enumerate(ks):
+        m = k - j
+        mat[i, i] = (
+            m - (vbar / (n - 1)) * 0.5 * (1 + chi) * (j * (j + 1) - m * m) + shift
+        )
+        if k + 2 in pos:
+            amp = np.sqrt((j - m) * (j + m + 1)) * np.sqrt((j - m - 1) * (j + m + 2))
+            val = -(vbar / (n - 1)) * 0.25 * (1 - chi) * amp
+            mat[i, pos[k + 2]] = val
+            mat[pos[k + 2], i] = val
+    return mat
+
+
+def loop_jy_generator(n):
+    """The earlier per-k builder of -i Jy over the full multiplet."""
+    j = n / 2.0
+    gen = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        m = k - j
+        step = 0.5 * np.sqrt((j - m) * (j + m + 1))
+        gen[k, k + 1] = step
+        gen[k + 1, k] = -step
+    return gen
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class _Blocks(Exception):
+    pass
+
+
+def ground_state_blocks(params, monkeypatch):
+    """The two sector matrices ``ground_state`` hands to ``_parity_ground``."""
+
+    def capture(blocks):
+        raise _Blocks(blocks)
+
+    monkeypatch.setattr(exact_module, "_parity_ground", capture)
+    with pytest.raises(_Blocks) as caught:
+        ground_state(params)
+    return caught.value.args[0]
+
+
+BUILDER_NS = [*range(2, 13), 64, 200, 1000]
+
+
 class TestSectorMatrix:
+    @pytest.mark.parametrize("n", BUILDER_NS)
+    def test_matches_loop_reference_bit_for_bit(self, n, monkeypatch):
+        # Signed zeros included: vbar = 0 and chi = 1 give -0.0 bands.
+        sectors = (sector_ks(n), tuple(range(1, n + 1, 2)))
+        for chi in (-1.0, -0.3, 0.0, 0.5, 1.0):
+            for vbar in (0.0, 5e-324, 1e-310, 0.1, 7.0 / 6.0, 5.0, 100.0):
+                params = LmgParams(n, vbar, chi)
+                full = loop_collective_matrix(params, range(n + 1))
+                assert_same_bits(dicke_hamiltonian_full(params), full)
+                assert_same_bits(dicke_hamiltonian(params), loop_collective_matrix(params, sectors[0]))
+                for block, ks in zip(ground_state_blocks(params, monkeypatch), sectors):
+                    assert_same_bits(block, loop_collective_matrix(params, ks))
+
+    @pytest.mark.parametrize("n", BUILDER_NS)
+    def test_jy_generator_matches_loop_reference(self, n):
+        assert_same_bits(evolve_module._jy_generator(n), loop_jy_generator(n))
+
+    def test_full_matrix_is_cached_and_read_only(self):
+        params = LmgParams(6, 2.0, -0.3)
+        mat = dicke_hamiltonian_full(params)
+        assert dicke_hamiltonian_full(LmgParams(6, 2.0, -0.3)) is mat
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        assert dicke_hamiltonian(params).flags.writeable
+
+    def test_default_sweep_point_builds_once(self):
+        # ground_state's two sectors, variational_jz's reference sector,
+        # deformed_hf and the hf cells all read one build.
+        dicke_hamiltonian_full.cache_clear()
+        cli._sweep_cells(8, -1.0, 5.0, frozenset(cli.OBSERVABLES))
+        assert dicke_hamiltonian_full.cache_info().misses == 1
+
     def test_two_spins_matches_analytic_block(self):
         for vbar in (0.0, 0.3, 1.0, 4.0):
             mat = dicke_hamiltonian(LmgParams(2, vbar))
@@ -370,6 +465,16 @@ class TestStabStateAmplitudes:
         for n in range(2, 13):
             for family in ("s1", "s2"):
                 assert stab_state_dicke_amplitudes(n, family).norm == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 1023, 1024])
+    def test_pair_family_matches_float_power_form(self, n):
+        # The form used up to N = 1024, where 2.0 ** (n - 1) still fits.
+        want = np.array([np.sqrt(comb(n, k) / 2.0 ** (n - 1)) for k in sector_ks(n)])
+        assert stab_state_dicke_amplitudes(n, "s2").amps.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1025, 2000])
+    def test_pair_family_normalized_beyond_float_power(self, n):
+        assert stab_state_dicke_amplitudes(n, "s2").norm == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_prepared_states(self):
         # The collective expansion must reproduce the tableau-prepared states.
