@@ -23,7 +23,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .lmg import LmgParams, build_lmg, negated_pair_completion
-from .pauli import ResourceLimitError, _popcounts, canonical_phase
+from .pauli import ResourceLimitError, _parity_blocks, _popcounts, canonical_phase
 from .tableau import STATEVECTOR_QUBIT_LIMIT
 
 DENSE_GROUND_LIMIT = 12
@@ -170,17 +170,12 @@ def ground_state(params: LmgParams) -> tuple[float, DickeVector]:
     return energy, DickeVector(n, sectors[win], vec)
 
 
-def _parity_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of the (-1)^n spin-flip parity sector, then the other."""
-    flipped = (_popcounts(n) & 1) != n % 2
-    return np.flatnonzero(~flipped), np.flatnonzero(flipped)
-
-
 def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
-    """Ground energy and state from the full 2^n matrix (independent route).
+    """Ground energy and state from the dense 2^n matrix (independent route).
 
     Every pair term flips two spins, so the matrix is block-diagonal in the
-    spin-flip parity sectors of Z_1..Z_n.  The two 2^(n-1) blocks go through
+    spin-flip parity sectors of Z_1..Z_n.  Its two 2^(n-1) blocks, built
+    directly (``PauliHamiltonian.parity_blocks``), go through
     ``_parity_ground``: the (-1)^n block is diagonalized, and the other only
     when a Cholesky test cannot show its levels lie above; the lower ground
     level wins, and levels within 1e-8 resolve to the (-1)^n sector.  The
@@ -191,11 +186,9 @@ def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
     n = params.n
     if n > DENSE_GROUND_LIMIT:
         raise ResourceLimitError(f"dense diagonalization guarded at n <= {DENSE_GROUND_LIMIT}")
-    h = build_lmg(params).dense_real()
-    blocks = _parity_blocks(n)
-    energy, win, vecs = _parity_ground([h[np.ix_(b, b)] for b in blocks])
+    energy, win, vecs = _parity_ground(build_lmg(params).parity_blocks())
     vec = np.zeros(1 << n, dtype=complex)
-    vec[blocks[win]] = vecs[win]
+    vec[_parity_blocks(n)[win]] = vecs[win]
     return energy, canonical_phase(vec)
 
 
@@ -218,11 +211,12 @@ def dicke_to_statevector(state: DickeVector) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
 def stab_state_dicke_amplitudes(n: int, family: str) -> DickeVector:
     """Collective amplitudes of the selected stabilizer states.
 
     The product state is pure k = 0.  The pair state weights each allowed k
-    by sqrt(C(n, k) / 2^(n-1)).
+    by sqrt(C(n, k) / 2^(n-1)).  Cached; the amplitudes are read-only.
     """
     ks = sector_ks(n)
     if family == "s1":
@@ -232,6 +226,7 @@ def stab_state_dicke_amplitudes(n: int, family: str) -> DickeVector:
         amps = np.array([sqrt(comb(n, k) / 2 ** (n - 1)) for k in ks])
     else:
         raise ValueError(f"no collective amplitudes for family {family!r}")
+    amps.setflags(write=False)
     return DickeVector(n, ks, amps)
 
 

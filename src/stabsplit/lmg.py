@@ -21,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, _words, canonical_phase
+from .pauli import _STRUCTURES, PauliHamiltonian, PauliString, _structure_memo, _words
+from .pauli import canonical_phase
 from .tableau import (
     CliffordGate,
     StabilizerGroup,
@@ -184,38 +185,31 @@ def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidat
     return candidates
 
 
-# The last Hamiltonian structure scored (``_scored``): its position table,
-# held so that its id is never recycled, the key of what the groups depend
-# on, and name -> (group, read-only int8 expectations).
-_LAST_SCORED: dict = {"table": None, "key": None, "scores": {}}
-
-
 def clear_scores() -> None:
-    """Forget the cached groups and expectations (see ``_scored``)."""
-    _LAST_SCORED.update(table=None, key=None, scores={})
+    """Empty the structure memo: cached groups, expectations, dense layouts."""
+    _STRUCTURES.clear()
 
 
 def _scored(h: PauliHamiltonian, params: LmgParams, name: str, build):
-    """The group ``build()`` makes, under ``name``, and its expectations of
-    every term of ``h``, reused while h's structure and the groups stay put.
+    """The group ``build()`` makes, under ``name``, and its read-only int8
+    expectations of every term of ``h``, kept in h's structure memo.
 
     Expectations depend only on the position table and the group, and each
     named group only on n and ``negated_pair_completion``.
-    ``build_lmg`` shares one table per (n, number of term kinds), so a sweep
-    over vbar at fixed (N, chi) scores its groups once.  The table is matched
-    by identity: any other table (``from_terms``, ``subset``, a vbar whose
-    pair terms vanish) misses and is scored fresh.
+    ``build_lmg`` shares one table per (n, number of term kinds), and the
+    memo holds the last four tables, so a sweep scores each structure's
+    groups once.  Tables are matched by identity: any other table
+    (``from_terms``, ``subset``, a rebuilt ``_position_table``) is scored
+    fresh.
     """
-    key = (h.n, params.n, negated_pair_completion(params))
-    if _LAST_SCORED["table"] is not h.positions or _LAST_SCORED["key"] != key:
-        _LAST_SCORED.update(table=h.positions, key=key, scores={})
-    scores = _LAST_SCORED["scores"]
-    if name not in scores:
+    scores = _structure_memo(h.positions)
+    key = (name, h.n, params.n, negated_pair_completion(params))
+    if key not in scores:
         group = build()
         values = group.expectations(h)
         values.setflags(write=False)
-        scores[name] = (group, values)
-    return scores[name]
+        scores[key] = (group, values)
+    return scores[key]
 
 
 def best_family_energy(candidates, family: str) -> float:

@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -67,6 +68,30 @@ def _sign_vector(mask, n: int) -> np.ndarray:
     An int array of masks broadcasts against the indices, so a column of
     masks gives one sign row per mask."""
     return 1.0 - 2.0 * (np.bitwise_count(_indices(n) & mask) & 1).astype(np.int64)
+
+
+def _parity_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of the (-1)^n spin-flip parity sector, then the other."""
+    flipped = (_popcounts(n) & 1) != n % 2
+    return np.flatnonzero(~flipped), np.flatnonzero(flipped)
+
+
+# Work that depends only on a position table: id(table) -> (table, named
+# entries) for at most four tables, as many as ``lmg._position_table``
+# caches, least recently used first.  Holding the table keeps its id.
+_STRUCTURES: OrderedDict = OrderedDict()
+
+
+def _structure_memo(positions: np.ndarray) -> dict:
+    """The named, read-only entries kept for this very table object; another
+    table, even an equal copy, gets a fresh dict and may evict the oldest."""
+    held = _STRUCTURES.get(id(positions))
+    if held is None or held[0] is not positions:
+        held = _STRUCTURES[id(positions)] = (positions, {})
+        if len(_STRUCTURES) > 4:
+            _STRUCTURES.popitem(last=False)
+    _STRUCTURES.move_to_end(id(positions))
+    return held[1]
 
 
 def _words(bits: int) -> int:
@@ -369,6 +394,41 @@ class PauliHamiltonian:
         out = np.zeros(dim * dim, dtype=scale.dtype)
         np.add.at(out, flat.ravel(), vals.ravel())
         return out.reshape(dim, dim)
+
+    def parity_blocks(self) -> np.ndarray:
+        """The two spin-flip parity blocks of ``dense_real()``, stacked in
+        ``_parity_blocks`` order, without the 2^n x 2^n matrix: ``np.add.at``
+        sums the terms in storage order from +0.0, as ``_scatter`` does, at
+        indices laid out once per position table (``_parity_layout``)."""
+        memo = _structure_memo(self.positions)
+        if ("parity", self.n) not in memo:
+            memo["parity", self.n] = self._parity_layout()
+        flat, signs, y_phase = memo["parity", self.n]
+        half = 1 << (self.n - 1)
+        out = np.zeros(2 * half * half)
+        np.add.at(out, flat.ravel(), ((self.coeffs * y_phase)[:, None] * signs).ravel())
+        return out.reshape(2, half, half)
+
+    def _parity_layout(self):
+        """Read-only per term: int32 flat indices of (b ^ x_t, b) in the stacked
+        blocks (2^(2n-1) <= 2^27 entries), int8 sign rows, Y phases.  Raises
+        if a term is odd in Y, or odd in X/Y sites and so couples the blocks."""
+        x, z, w = self._dense_parts()
+        if np.any(w % 2):
+            raise ValueError("term with odd Y count has an imaginary matrix")
+        if np.any(np.bitwise_count(x) & 1):
+            raise ValueError("term with an odd number of X/Y sites couples the parity blocks")
+        # pos[b]: b's place in the two blocks laid end to end.  Both ends of
+        # an entry lie in one block, so its flat index is pos[row] * half
+        # plus the column's place in that block, pos[column] % half.
+        pos = np.argsort(np.concatenate(_parity_blocks(self.n)))
+        half = 1 << (self.n - 1)
+        flat = (pos[_indices(self.n) ^ x[:, None]] * half + pos % half).astype(np.int32)
+        signs = _sign_vector(z[:, None], self.n).astype(np.int8)
+        layout = (flat, signs, 1.0 - 2.0 * (w // 2 % 2))
+        for array in layout:
+            array.setflags(write=False)
+        return layout
 
     def dense(self) -> np.ndarray:
         x, z, w = self._dense_parts()

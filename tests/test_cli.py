@@ -766,6 +766,17 @@ class TestFrozenPaperBytes:
         }
         assert digests == workloads.PAPER_N8_SHA256
 
+    def test_collective_large_n_repeated_passes(self):
+        # Three benchmark passes in one process: the first scores each
+        # structure, the later two are served from the structure memo.
+        # Recorded at 50acfa7, when only the last structure's scores were kept.
+        argvs = load_benchmark_workloads().build_workloads()["collective-large-n"].argvs(0)
+        outputs = run_fresh_single_thread(argvs * 3)
+        assert len(argvs) == 1 and outputs[0] == outputs[1] == outputs[2]
+        assert hashlib.sha256(outputs[0].encode()).hexdigest() == (
+            "ad5dfed616a660852f41920a374fbf624fed1a670a50b618d739c884530da990"
+        )
+
     def test_variational_columns_off_the_benchmark_grid(self):
         # The varjz and deformed mean-field columns at N = 2..10 and chi -1,
         # 0, 0.5 and 1, away from the benchmark's N = 8 grid. Recorded at

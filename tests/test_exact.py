@@ -19,9 +19,15 @@ from stabsplit.exact import (
     sector_ks,
     stab_state_dicke_amplitudes,
 )
-from stabsplit.lmg import LmgParams, build_lmg, prepare_stab_state, select_split
+from stabsplit.lmg import LmgParams, build_lmg, clear_scores, prepare_stab_state, select_split
 from stabsplit.metrics import parity_expectation, sre
-from stabsplit.pauli import ResourceLimitError, _popcounts, canonical_phase
+from stabsplit.pauli import (
+    PauliHamiltonian,
+    PauliString,
+    ResourceLimitError,
+    _popcounts,
+    canonical_phase,
+)
 
 
 def two_spin_block(vbar):
@@ -409,6 +415,84 @@ class TestCertifiedSecondBlock:
         assert sizes == [128]
 
 
+def gathered_dense_ground_state(params):
+    """The earlier ``dense_ground_state``: the full 2^n matrix from
+    ``dense_real``, its two parity blocks gathered with ``np.ix_``."""
+    n = params.n
+    h = build_lmg(params).dense_real()
+    blocks = exact_module._parity_blocks(n)
+    energy, win, vecs = exact_module._parity_ground([h[np.ix_(b, b)] for b in blocks])
+    vec = np.zeros(1 << n, dtype=complex)
+    vec[blocks[win]] = vecs[win]
+    return energy, canonical_phase(vec)
+
+
+def assert_blocks_match_dense(h):
+    dense = h.dense_real()
+    blocks = h.parity_blocks()
+    assert blocks.shape == (2, 1 << (h.n - 1), 1 << (h.n - 1))
+    for block, b in zip(blocks, exact_module._parity_blocks(h.n)):
+        assert_same_bits(block, dense[np.ix_(b, b)])
+
+
+BLOCK_GRID = [
+    (chi, vbar)
+    for chi in (-1.0, -0.3, 0.0, 0.5, 1.0)
+    for vbar in (0.0, 5e-324, 1e-310, 0.1, 7.0 / 6.0, 5.0, 100.0)
+]
+
+
+class TestDirectParityBlocks:
+    """``parity_blocks`` against ``dense_real`` gathered with ``np.ix_``, and
+    ``dense_ground_state`` against the route that gathered them."""
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_matches_gathered_dense_bit_for_bit(self, n):
+        # Signed zeros included; one point at n = 11, where the dense route
+        # takes seconds per point.
+        for chi, vbar in BLOCK_GRID if n < 11 else [(0.5, 5.0)]:
+            params = LmgParams(n, vbar, chi)
+            assert_blocks_match_dense(build_lmg(params))
+            energy, vec = dense_ground_state(params)
+            ref_energy, ref_vec = gathered_dense_ground_state(params)
+            assert energy == ref_energy
+            assert vec.tobytes() == ref_vec.tobytes()
+
+    def test_from_terms_with_y_phases(self):
+        # Two, zero and four Y sites; every term flips an even number of spins.
+        labels = ["+Y1Y2", "-X1Y2Y3X4", "+Z3", "+Y1Y2Y3Y4", "+X2X3Z4", "-Z1Z4"]
+        terms = [(0.3 * (k + 1), PauliString.parse(t, 4)) for k, t in enumerate(labels)]
+        assert_blocks_match_dense(PauliHamiltonian.from_terms(4, terms))
+
+    @pytest.mark.parametrize("label", ["+X1", "+X1Y2Y3", "+Y2"])
+    def test_odd_terms_raise(self, label):
+        # An odd number of X/Y sites couples the blocks; an odd Y count
+        # (the +Y2 term) makes the matrix imaginary.
+        terms = [(1.0, PauliString.parse("+Z1Z2", 3)), (0.5, PauliString.parse(label, 3))]
+        with pytest.raises(ValueError):
+            PauliHamiltonian.from_terms(3, terms).parity_blocks()
+
+    def test_layout_read_only_and_built_once_per_sweep(self, monkeypatch, tmp_path):
+        clear_scores()
+        built = []
+        layout = PauliHamiltonian._parity_layout
+
+        def counting(h):
+            built.append(h.positions)
+            return layout(h)
+
+        monkeypatch.setattr(PauliHamiltonian, "_parity_layout", counting)
+        argv = ["sweep", "--n", "8", "--chi", "-1", "--jobs", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(built) == 1
+        h = build_lmg(LmgParams(8, 5.0, -1.0))
+        assert built[0] is h.positions
+        h.parity_blocks()
+        assert len(built) == 1
+        for array in layout(h):
+            assert not array.flags.writeable
+
+
 class TestStatevectorExpansion:
     def test_pure_all_down(self):
         state = DickeVector(3, (0,), np.array([1.0]))
@@ -490,6 +574,19 @@ class TestStabStateAmplitudes:
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
             stab_state_dicke_amplitudes(4, "s3")
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 1023, 1024, 1025, 2000])
+    def test_cached_read_only_and_equal_to_fresh(self, n):
+        for family in ("s1", "s2"):
+            state = stab_state_dicke_amplitudes(n, family)
+            assert stab_state_dicke_amplitudes(n, family) is state
+            assert not state.amps.flags.writeable
+            with pytest.raises(ValueError):
+                state.amps[0] = 0.0
+            fresh = stab_state_dicke_amplitudes.__wrapped__(n, family)
+            assert fresh is not state
+            assert fresh.ks == state.ks
+            assert fresh.amps.tobytes() == state.amps.tobytes()
 
 
 class TestFidelity:

@@ -8,6 +8,7 @@ import pytest
 
 import stabsplit.cli as cli
 import stabsplit.lmg as lmg
+import stabsplit.pauli as pauli
 from stabsplit.cli import main
 from stabsplit.lmg import (
     LmgCandidate,
@@ -331,9 +332,70 @@ def count_expectation_passes(monkeypatch) -> list:
     return calls
 
 
+def assert_same_candidates(got, want):
+    assert [c.group for c in got] == [c.group for c in want]
+    assert [c.energy for c in got] == [c.energy for c in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.expectations, b.expectations)
+        assert a.expectations.dtype == b.expectations.dtype
+
+
+def fresh_candidates(h, params):
+    """``candidate_groups`` on an emptied memo."""
+    clear_scores()
+    return candidate_groups(h, params)
+
+
 class TestScoreCache:
-    """The expectations of the last structure scored are reused, and only
-    where they are the same arrays a fresh scoring would give."""
+    """The expectations of the last four structures scored are reused, and
+    only where they are the same arrays a fresh scoring would give."""
+
+    def test_alternating_structures_scored_once(self, monkeypatch):
+        clear_scores()
+        calls = count_expectation_passes(monkeypatch)
+        passes = []
+        for _ in range(3):
+            for n in (5, 6):
+                params = LmgParams(n, 2.0, -1.0)
+                before = len(calls)
+                select_split(build_lmg(params), params)
+                passes.append(len(calls) - before)
+        # Two candidates and the guard per structure, in the first round only.
+        assert passes == [3, 3, 0, 0, 0, 0]
+
+    def test_four_tables_held_and_evicted_table_rescored(self, monkeypatch):
+        clear_scores()
+        points = [LmgParams(n, 2.0, -1.0) for n in (3, 4, 5, 6, 7)]
+        hs = [build_lmg(p) for p in points]
+        first = [candidate_groups(h, p) for h, p in zip(hs, points)]
+        held = [table for table, _ in pauli._STRUCTURES.values()]
+        assert len(held) == 4
+        assert all(a is b for a, b in zip(held, [h.positions for h in hs[1:]]))
+        calls = count_expectation_passes(monkeypatch)
+        assert_same_candidates(candidate_groups(hs[4], points[4]), first[4])
+        assert len(calls) == 0
+        # The least recently used table was evicted: scored again, the same.
+        again = candidate_groups(hs[0], points[0])
+        assert len(calls) == 2
+        assert len(pauli._STRUCTURES) == 4
+        assert_same_candidates(again, first[0])
+        assert_same_candidates(again, fresh_candidates(hs[0], points[0]))
+
+    def test_rebuilt_position_table_misses(self, monkeypatch):
+        params = LmgParams(5, 2.0, 0.5)
+        h = build_lmg(params)
+        cached = candidate_groups(h, params)
+        # Four other structures push the table out of _position_table.
+        for n in (6, 7, 8, 9):
+            build_lmg(LmgParams(n, 2.0, 0.5))
+        rebuilt = build_lmg(params)
+        assert rebuilt.positions is not h.positions
+        assert np.array_equal(rebuilt.positions, h.positions)
+        calls = count_expectation_passes(monkeypatch)
+        got = candidate_groups(rebuilt, params)
+        assert len(calls) == 2
+        assert_same_candidates(got, cached)
+        assert_same_candidates(got, fresh_candidates(rebuilt, params))
 
     def test_permuted_from_terms_scored_fresh(self, monkeypatch):
         params = LmgParams(5, 2.0, -0.5)
@@ -356,8 +418,9 @@ class TestScoreCache:
         for cand in candidate_groups(build_lmg(LmgParams(6, 3.0, 0.5)), params):
             with pytest.raises(ValueError):
                 cand.expectations[0] = 0
-        # The guard's array too.
-        _, guard = lmg._LAST_SCORED["scores"]["guard"]
+        # The guard's array too, served from the memo without a new build.
+        _, guard = lmg._scored(h, params, "guard", lambda: pytest.fail("guard rebuilt"))
+        assert not guard.flags.writeable
         with pytest.raises(ValueError):
             guard[0] = 0
 
@@ -387,11 +450,7 @@ class TestScoreCache:
             got = candidate_groups(h, params)
             guard = symmetry_breaking_energy(h, params) if n >= 3 else None
             clear_scores()
-            want = candidate_groups(h, params)
-            assert [c.group for c in got] == [c.group for c in want], (n, chi, vbar)
-            assert [c.energy for c in got] == [c.energy for c in want]
-            for a, b in zip(got, want):
-                assert np.array_equal(a.expectations, b.expectations)
+            assert_same_candidates(got, candidate_groups(h, params))
             if n >= 3:
                 assert guard == symmetry_breaking_energy(h, params)
 
