@@ -211,12 +211,11 @@ def dicke_to_statevector(state: DickeVector) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4)
 def stab_state_dicke_amplitudes(n: int, family: str) -> DickeVector:
     """Collective amplitudes of the selected stabilizer states.
 
     The product state is pure k = 0.  The pair state weights each allowed k
-    by sqrt(C(n, k) / 2^(n-1)).  Cached; the amplitudes are read-only.
+    by sqrt(C(n, k) / 2^(n-1)).
     """
     ks = sector_ks(n)
     if family == "s1":
@@ -226,7 +225,6 @@ def stab_state_dicke_amplitudes(n: int, family: str) -> DickeVector:
         amps = np.array([sqrt(comb(n, k) / 2 ** (n - 1)) for k in ks])
     else:
         raise ValueError(f"no collective amplitudes for family {family!r}")
-    amps.setflags(write=False)
     return DickeVector(n, ks, amps)
 
 

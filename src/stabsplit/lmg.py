@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import _STRUCTURES, PauliHamiltonian, PauliString, _structure_memo, _words
-from .pauli import canonical_phase
+from .pauli import PauliHamiltonian, PauliString, _structure_memo, _words, canonical_phase
+from .pauli import clear_structure_memo as clear_scores
 from .tableau import (
     CliffordGate,
     StabilizerGroup,
@@ -185,11 +185,6 @@ def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidat
     return candidates
 
 
-def clear_scores() -> None:
-    """Empty the structure memo: cached groups, expectations, dense layouts."""
-    _STRUCTURES.clear()
-
-
 def _scored(h: PauliHamiltonian, params: LmgParams, name: str, build):
     """The group ``build()`` makes, under ``name``, and its read-only int8
     expectations of every term of ``h``, kept in h's structure memo.
@@ -197,10 +192,12 @@ def _scored(h: PauliHamiltonian, params: LmgParams, name: str, build):
     Expectations depend only on the position table and the group, and each
     named group only on n and ``negated_pair_completion``.
     ``build_lmg`` shares one table per (n, number of term kinds), and the
-    memo holds the last four tables, so a sweep scores each structure's
-    groups once.  Tables are matched by identity: any other table
-    (``from_terms``, ``subset``, a rebuilt ``_position_table``) is scored
-    fresh.
+    memo holds the last four tables, so a process that returns to a
+    structure does not score it again: a sweep whose chi grid puts 0 between
+    nonzero values, a linear vbar grid from 0 over several chi, a caller
+    that runs a sweep over several N more than once.  Tables are matched by
+    identity: any other table (``from_terms``, ``subset``, a rebuilt
+    ``_position_table``) is scored fresh.
     """
     scores = _structure_memo(h.positions)
     key = (name, h.n, params.n, negated_pair_completion(params))

@@ -78,7 +78,8 @@ def _parity_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Work that depends only on a position table: id(table) -> (table, named
 # entries) for at most four tables, as many as ``lmg._position_table``
-# caches, least recently used first.  Holding the table keeps its id.
+# caches, least recently used first.  Holding the table keeps its id.  Used
+# by ``lmg._scored`` and ``PauliHamiltonian.parity_blocks``.
 _STRUCTURES: OrderedDict = OrderedDict()
 
 
@@ -92,6 +93,11 @@ def _structure_memo(positions: np.ndarray) -> dict:
             _STRUCTURES.popitem(last=False)
     _STRUCTURES.move_to_end(id(positions))
     return held[1]
+
+
+def clear_structure_memo() -> None:
+    """Forget every entry of every table (see ``_structure_memo``)."""
+    _STRUCTURES.clear()
 
 
 def _words(bits: int) -> int:
@@ -380,52 +386,53 @@ class PauliHamiltonian:
         z = np.where(pos < 64, ones, 0).sum(axis=1)
         return x, z, self.y_counts
 
-    def _scatter(self, x: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """Sum of the terms' matrices scale_t * X^x_t Z^z_t, entry by entry.
-
-        Term t puts scale_t * (-1)^|b & z_t| at (b ^ x_t, b).  ``np.add.at``
-        adds the terms in storage order from +0.0, so every entry is the same
-        float sum as adding one term's matrix after another.
-        """
-        dim = 1 << self.n
-        idx = _indices(self.n)
-        flat = ((idx ^ x[:, None]) << self.n) | idx
-        vals = scale[:, None] * _sign_vector(z[:, None], self.n)
-        out = np.zeros(dim * dim, dtype=scale.dtype)
-        np.add.at(out, flat.ravel(), vals.ravel())
-        return out.reshape(dim, dim)
-
-    def parity_blocks(self) -> np.ndarray:
-        """The two spin-flip parity blocks of ``dense_real()``, stacked in
-        ``_parity_blocks`` order, without the 2^n x 2^n matrix: ``np.add.at``
-        sums the terms in storage order from +0.0, as ``_scatter`` does, at
-        indices laid out once per position table (``_parity_layout``)."""
-        memo = _structure_memo(self.positions)
-        if ("parity", self.n) not in memo:
-            memo["parity", self.n] = self._parity_layout()
-        flat, signs, y_phase = memo["parity", self.n]
-        half = 1 << (self.n - 1)
-        out = np.zeros(2 * half * half)
-        np.add.at(out, flat.ravel(), ((self.coeffs * y_phase)[:, None] * signs).ravel())
-        return out.reshape(2, half, half)
-
-    def _parity_layout(self):
-        """Read-only per term: int32 flat indices of (b ^ x_t, b) in the stacked
-        blocks (2^(2n-1) <= 2^27 entries), int8 sign rows, Y phases.  Raises
-        if a term is odd in Y, or odd in X/Y sites and so couples the blocks."""
+    def _real_parts(self):
+        """Per-term x bits, z bits and real phase (-1)^(Y count / 2): a
+        Hermitian phase +1 string with an even number of Y sites is a real
+        matrix.  Raises if any term is odd in Y."""
         x, z, w = self._dense_parts()
         if np.any(w % 2):
             raise ValueError("term with odd Y count has an imaginary matrix")
+        return x, z, 1.0 - 2.0 * (w // 2 % 2)
+
+    def _layout(self, x: np.ndarray, z: np.ndarray, place=None):
+        """Flat indices and signs of the terms' matrices X^x_t Z^z_t: term t
+        puts (-1)^|b & z_t| at row place[b ^ x_t], column place[b] mod the
+        width (2^n for the identity place; 2^(n-1) for a place that lays two
+        blocks end to end, each entry having both ends in one block)."""
+        dim = 1 << self.n
+        idx = _indices(self.n)
+        place, width = (idx, dim) if place is None else (place, dim >> 1)
+        return place[idx ^ x[:, None]] * width + place % width, _sign_vector(z[:, None], self.n)
+
+    @staticmethod
+    def _scatter(flat: np.ndarray, signs: np.ndarray, scale: np.ndarray, shape) -> np.ndarray:
+        """Sum over terms of scale_t * signs_t at flat_t; ``np.add.at`` adds the
+        terms in storage order from +0.0, as adding one matrix after another."""
+        out = np.zeros(shape, dtype=scale.dtype)
+        np.add.at(out.reshape(-1), flat.ravel(), (scale[:, None] * signs).ravel())
+        return out
+
+    def parity_blocks(self) -> np.ndarray:
+        """The two spin-flip parity blocks of ``dense_real()``, stacked in
+        ``_parity_blocks`` order, with its bits but without the 2^n x 2^n
+        matrix.  The layout, most of the work, is kept per position table."""
+        memo = _structure_memo(self.positions)
+        if ("parity", self.n) not in memo:
+            memo["parity", self.n] = self._parity_layout()
+        flat, signs, phase = memo["parity", self.n]
+        half = 1 << (self.n - 1)
+        return self._scatter(flat, signs, self.coeffs * phase, (2, half, half))
+
+    def _parity_layout(self):
+        """Read-only int32 flat indices (2^(2n-1) <= 2^27 entries), int8 signs
+        and real phases of ``parity_blocks``.  Raises if a term is odd in Y, or
+        odd in X/Y sites and so couples the blocks."""
+        x, z, phase = self._real_parts()
         if np.any(np.bitwise_count(x) & 1):
             raise ValueError("term with an odd number of X/Y sites couples the parity blocks")
-        # pos[b]: b's place in the two blocks laid end to end.  Both ends of
-        # an entry lie in one block, so its flat index is pos[row] * half
-        # plus the column's place in that block, pos[column] % half.
-        pos = np.argsort(np.concatenate(_parity_blocks(self.n)))
-        half = 1 << (self.n - 1)
-        flat = (pos[_indices(self.n) ^ x[:, None]] * half + pos % half).astype(np.int32)
-        signs = _sign_vector(z[:, None], self.n).astype(np.int8)
-        layout = (flat, signs, 1.0 - 2.0 * (w // 2 % 2))
+        flat, signs = self._layout(x, z, np.argsort(np.concatenate(_parity_blocks(self.n))))
+        layout = (flat.astype(np.int32), signs.astype(np.int8), phase)
         for array in layout:
             array.setflags(write=False)
         return layout
@@ -433,16 +440,13 @@ class PauliHamiltonian:
     def dense(self) -> np.ndarray:
         x, z, w = self._dense_parts()
         phases = np.array([1j**k for k in range(4)])
-        return self._scatter(x, z, self.coeffs * phases[w % 4])
+        return self._scatter(*self._layout(x, z), self.coeffs * phases[w % 4], (1 << self.n,) * 2)
 
     def dense_real(self) -> np.ndarray:
-        """Real float64 dense matrix; valid because every Hermitian phase +1
-        string with an even number of Y sites is a real matrix and real
+        """Real float64 dense matrix (phases from ``_real_parts``); real
         coefficients keep the sum real.  Raises if any term is odd in Y."""
-        x, z, w = self._dense_parts()
-        if np.any(w % 2):
-            raise ValueError("term with odd Y count has an imaginary matrix")
-        return self._scatter(x, z, self.coeffs * (1.0 - 2.0 * (w // 2 % 2)))
+        x, z, phase = self._real_parts()
+        return self._scatter(*self._layout(x, z), self.coeffs * phase, (1 << self.n,) * 2)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if len(vec) != 1 << self.n:

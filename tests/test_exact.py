@@ -575,19 +575,6 @@ class TestStabStateAmplitudes:
         with pytest.raises(ValueError):
             stab_state_dicke_amplitudes(4, "s3")
 
-    @pytest.mark.parametrize("n", [*range(2, 65), 1023, 1024, 1025, 2000])
-    def test_cached_read_only_and_equal_to_fresh(self, n):
-        for family in ("s1", "s2"):
-            state = stab_state_dicke_amplitudes(n, family)
-            assert stab_state_dicke_amplitudes(n, family) is state
-            assert not state.amps.flags.writeable
-            with pytest.raises(ValueError):
-                state.amps[0] = 0.0
-            fresh = stab_state_dicke_amplitudes.__wrapped__(n, family)
-            assert fresh is not state
-            assert fresh.ks == state.ks
-            assert fresh.amps.tobytes() == state.amps.tobytes()
-
 
 class TestFidelity:
     def test_collective_alignment(self):

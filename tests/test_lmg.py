@@ -363,6 +363,23 @@ class TestScoreCache:
         # Two candidates and the guard per structure, in the first round only.
         assert passes == [3, 3, 0, 0, 0, 0]
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            # chi = 0 drops the Y pair terms: tables (5, 2 kinds), (5, 1), (5, 2).
+            ["--chi", "-1", "--chi", "0", "--chi", "1", "--vbar", "2"],
+            # vbar = 0 drops every pair term: (5, 0), (5, 2), then both again.
+            ["--chi", "-1", "--chi", "1", "--linear", "--vbar-min", "0", "--vbar-max", "2"],
+        ],
+    )
+    def test_sweep_returning_to_a_structure_scores_it_once(self, grid, monkeypatch, tmp_path):
+        clear_scores()
+        calls = count_expectation_passes(monkeypatch)
+        argv = ["sweep", "--n", "5", *grid, "--observables", "energies", "--jobs", "1"]
+        assert main(argv + ["--vbar-points", "3", "--out", str(tmp_path / "s.csv")]) == 0
+        # Two candidates and the guard for each of the two structures.
+        assert len(calls) == 6
+
     def test_four_tables_held_and_evicted_table_rescored(self, monkeypatch):
         clear_scores()
         points = [LmgParams(n, 2.0, -1.0) for n in (3, 4, 5, 6, 7)]
