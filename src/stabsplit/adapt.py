@@ -242,31 +242,29 @@ def _as_real_state(state: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _exact_target(dense: np.ndarray, n: int, reference: np.ndarray):
+def _exact_target(h: PauliHamiltonian, reference: np.ndarray):
     """Ground energy plus the comparison eigenvector for fidelity rows.
 
-    When the Hamiltonian conserves parity and the reference has definite
-    parity, the two 2^(n-1) parity blocks go through ``_parity_ground`` with
-    the reference's sector first: the ground energy is the lower level, and
-    the comparison state is the lowest eigenvector in the reference's
-    sector; the pool cannot leave it, and near-degenerate opposite-parity
-    doublets would otherwise make the fidelity column meaningless.
-    Otherwise the full 2^n matrix is diagonalized.
+    ``h.parity_blocks()`` go through ``_parity_ground`` with the reference's
+    sector first: the ground energy is the lower level, and the comparison
+    state is the lowest eigenvector in the reference's sector; the pool
+    cannot leave it, and near-degenerate opposite-parity doublets would
+    otherwise make the fidelity column meaningless.  A reference on both
+    sectors, or a term of ``h`` that couples them, raises ValueError.
     """
+    n = h.n
     signs = 1.0 - 2.0 * (_popcounts(n) & 1)
-    blocks = _parity_blocks(n)
-    conserves = np.max(np.abs(dense[np.ix_(*blocks)])) < 1e-12
     ref_parity = float(np.dot(reference, signs * reference))
-    if conserves and abs(abs(ref_parity) - 1.0) < 1e-8:
-        # _parity_blocks lists the (-1)^n sector first.
-        if ref_parity * (-1) ** n < 0:
-            blocks = blocks[::-1]
-        ground_energy, _, vecs = _parity_ground([dense[np.ix_(b, b)] for b in blocks])
-        target = np.zeros(len(signs))
-        target[blocks[0]] = vecs[0]
-        return ground_energy, target
-    evals, evecs = np.linalg.eigh(dense)
-    return float(evals[0]), evecs[:, 0].astype(float)
+    if abs(abs(ref_parity) - 1.0) >= 1e-8:
+        raise ValueError("reference must lie in one spin-flip parity sector")
+    sectors, blocks = _parity_blocks(n), h.parity_blocks()
+    # Both list the (-1)^n sector first.
+    if ref_parity * (-1) ** n < 0:
+        sectors, blocks = sectors[::-1], blocks[::-1]
+    ground_energy, _, vecs = _parity_ground(blocks)
+    target = np.zeros(len(signs))
+    target[sectors[0]] = vecs[0]
+    return ground_energy, target
 
 
 def _select(dense: np.ndarray, state: np.ndarray, ops) -> tuple[int, float]:
@@ -431,7 +429,8 @@ def run_adapt(
     Loop: score every pool element by its gradient, add the largest in
     magnitude as a new layer at angle zero, re-optimize all angles (BFGS
     started from the inverse Hessian the previous layer ended with), record
-    energy and fidelity against the exact (parity-matched) ground state.
+    energy and fidelity against the exact ground state of the reference's
+    parity sector, which must be definite (``_exact_target``).
     """
     if config is None:
         config = AdaptConfig()
@@ -439,8 +438,8 @@ def run_adapt(
     if n > ADAPT_QUBIT_LIMIT:
         raise ResourceLimitError(f"adaptive ansatz capped at {ADAPT_QUBIT_LIMIT} qubits")
     ref = _as_real_state(reference)
+    exact_energy, target = _exact_target(h, ref)
     dense = h.dense_real()
-    exact_energy, target = _exact_target(dense, n, ref)
     ops = pool(n)
     trace = AdaptTrace(exact_energy=exact_energy)
     chosen: list[PoolOperator] = []

@@ -185,14 +185,15 @@ def _sweep_cells(n: int, chi: float, vbar: float, observables: frozenset) -> dic
     params = LmgParams(n, vbar, chi)
     cells: dict[str, str] = {}
     exact_energy, exact_state = ground_state(params)
-    if "energies" in observables:
+    if observables & {"energies", "magic"}:
         h = build_lmg(params)
+    if "energies" in observables:
         candidates = candidate_groups(h, params)
         cells["E_exact"] = _fmt(exact_energy)
         cells["E_s1"] = _fmt(best_family_energy(candidates, "s1"))
         cells["E_s2"] = _fmt(best_family_energy(candidates, "s2"))
         cells["E_stab_sel"] = _fmt(select_candidate(h, params, candidates).energy)
-    if observables & {"fidelities", "entropy", "tangles"}:
+    if observables & {"fidelities", "entropy", "tangles", "varjz"}:
         s2_state = s2_candidate_state(params)
     if "fidelities" in observables:
         s1_state = stab_state_dicke_amplitudes(n, "s1")
@@ -205,10 +206,10 @@ def _sweep_cells(n: int, chi: float, vbar: float, observables: frozenset) -> dic
         cells["tauN_exact"] = _fmt(n_tangle_dicke(exact_state))
         cells["tauN_s2"] = _fmt(n_tangle_dicke(s2_state))
     if "magic" in observables:
-        _, dense_vec = dense_ground_state(params)
+        _, dense_vec = dense_ground_state(h)
         cells["M2_exact"] = _fmt(sre(dense_vec))
     if "varjz" in observables:
-        res = variational_jz(params, exact_state=exact_state)
+        res = variational_jz(params, reference=s2_state, exact_state=exact_state)
         cells["E_varjz"] = _fmt(res.energy)
         cells["fid_varjz"] = _fmt(res.fidelity)
     if "hf" in observables:
@@ -363,7 +364,7 @@ def run_qitp(opt: dict) -> int:
     h = build_lmg(params)
     dense = h.dense_real()
     eig = np.linalg.eigh(dense)
-    _, exact_vec = dense_ground_state(params)
+    _, exact_vec = dense_ground_state(h)
     candidates = candidate_groups(h, params)
     e0 = opt["e0"] if opt["e0"] is not None else select_candidate(h, params, candidates).energy
     # The s1 and s2 starts, in column order.

@@ -22,8 +22,8 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .lmg import LmgParams, build_lmg, negated_pair_completion
-from .pauli import ResourceLimitError, _parity_blocks, _popcounts, canonical_phase
+from .lmg import LmgParams, negated_pair_completion
+from .pauli import PauliHamiltonian, ResourceLimitError, _parity_blocks, _popcounts, canonical_phase
 from .tableau import STATEVECTOR_QUBIT_LIMIT
 
 DENSE_GROUND_LIMIT = 12
@@ -157,7 +157,7 @@ def ground_state(params: LmgParams) -> tuple[float, DickeVector]:
     The even-k and odd-k sectors are searched separately
     (``_parity_ground``), and ``ks`` of the returned state are those of the
     winning sector.  The amplitude of the sector's lowest k (M = -n/2 for
-    even k) is made positive.
+    even k) is made positive, or, when it is below 1e-12, the largest one.
     """
     n = params.n
     sectors = (sector_ks(n), tuple(range(1, n + 1, 2)))
@@ -170,23 +170,22 @@ def ground_state(params: LmgParams) -> tuple[float, DickeVector]:
     return energy, DickeVector(n, sectors[win], vec)
 
 
-def dense_ground_state(params: LmgParams) -> tuple[float, np.ndarray]:
-    """Ground energy and state from the dense 2^n matrix (independent route).
+def dense_ground_state(h: PauliHamiltonian) -> tuple[float, np.ndarray]:
+    """Ground energy and state of ``h`` from its dense 2^n matrix (independent route).
 
-    Every pair term flips two spins, so the matrix is block-diagonal in the
-    spin-flip parity sectors of Z_1..Z_n.  Its two 2^(n-1) blocks, built
-    directly (``PauliHamiltonian.parity_blocks``), go through
+    ``h`` must conserve the spin-flip parity of Z_1..Z_n, as every LMG term
+    does: a term with an odd number of X/Y sites raises ValueError.  The two
+    2^(n-1) parity blocks (``PauliHamiltonian.parity_blocks``) go through
     ``_parity_ground``: the (-1)^n block is diagonalized, and the other only
     when a Cholesky test cannot show its levels lie above; the lower ground
     level wins, and levels within 1e-8 resolve to the (-1)^n sector.  The
-    state is exactly zero in the other sector.
-    Only the parity symmetry of the Pauli matrix is used, none of the
-    permutation symmetry of the collective route.
+    state is exactly zero in the other sector.  None of the permutation
+    symmetry of the collective route is used.
     """
-    n = params.n
+    n = h.n
     if n > DENSE_GROUND_LIMIT:
         raise ResourceLimitError(f"dense diagonalization guarded at n <= {DENSE_GROUND_LIMIT}")
-    energy, win, vecs = _parity_ground(build_lmg(params).parity_blocks())
+    energy, win, vecs = _parity_ground(h.parity_blocks())
     vec = np.zeros(1 << n, dtype=complex)
     vec[_parity_blocks(n)[win]] = vecs[win]
     return energy, canonical_phase(vec)

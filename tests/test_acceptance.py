@@ -113,7 +113,7 @@ def test_criterion_03_collective_matches_dense_oracle():
                 for vbar in (0.5, 1.0, 2.0, 5.0, 10.0):
                     params = LmgParams(n, vbar, chi)
                     energy_c, state_c = ground_state(params)
-                    energy_d, state_d = dense_ground_state(params)
+                    energy_d, state_d = dense_ground_state(build_lmg(params))
                     assert abs(energy_c - energy_d) <= 1e-9
                     overlap = fidelity(dicke_to_statevector(state_c), state_d)
                     assert overlap >= 1.0 - 1e-8
@@ -142,7 +142,7 @@ def test_criterion_05_magic_zero_tstate_and_peak():
         grid = np.geomspace(0.1, 100.0, 50)
         magic = []
         for vbar in grid:
-            _, vec = dense_ground_state(LmgParams(8, float(vbar)))
+            _, vec = dense_ground_state(build_lmg(LmgParams(8, float(vbar))))
             magic.append(sre(vec))
         peak = float(grid[int(np.argmax(magic))])
         assert 1.5 <= peak <= 3.0
@@ -168,7 +168,7 @@ def test_criterion_06_entanglement_of_pair_state():
                 assert abs(n_tangle(vec, m, tail)) <= 1e-12
             assert abs(one_spin_entropy(vec) - rdm_entropy(vec, n)) <= 1e-10
         for n, vbar in ((4, 1.0), (6, 2.0), (8, 5.0)):
-            _, vec = dense_ground_state(LmgParams(n, vbar))
+            _, vec = dense_ground_state(build_lmg(LmgParams(n, vbar)))
             assert abs(one_spin_entropy(vec) - rdm_entropy(vec, n)) <= 1e-10
 
 
@@ -210,7 +210,7 @@ def test_criterion_08_projection_cooling():
             case = LmgParams(8, vbar)
             h_case = build_lmg(case)
             eig = np.linalg.eigh(h_case.dense_real())
-            _, exact_vec = dense_ground_state(case)
+            _, exact_vec = dense_ground_state(build_lmg(case))
             shift = select_split(h_case, case).stab_energy
             curves = {}
             for key, vec in (("s1", all_down(8)), ("s2", pair_state(8))):

@@ -23,7 +23,7 @@ from stabsplit.cli import main
 from stabsplit.exact import dense_ground_state, fidelity
 from stabsplit.lmg import LmgParams, build_lmg, pair_family_group
 from stabsplit.metrics import parity_expectation
-from stabsplit.pauli import PauliString, ResourceLimitError, _popcounts
+from stabsplit.pauli import PauliHamiltonian, PauliString, ResourceLimitError, _popcounts
 
 
 def pair_state(n):
@@ -193,7 +193,7 @@ class TestGradient:
     def test_eigenstate_gradients_vanish(self):
         params = LmgParams(4, 2.0)
         h = build_lmg(params)
-        _, ground = dense_ground_state(params)
+        _, ground = dense_ground_state(h)
         for op in pool(4):
             assert abs(gradient(ground, op, h)) < 1e-9
 
@@ -225,7 +225,7 @@ class TestRunAdapt:
     def test_exact_reference_terminates_at_layer_zero(self):
         params = LmgParams(4, 2.0)
         h = build_lmg(params)
-        energy, ground = dense_ground_state(params)
+        energy, ground = dense_ground_state(h)
         trace = run_adapt(h, ground)
         assert trace.converged
         assert len(trace.layers) == 1
@@ -237,7 +237,7 @@ class TestRunAdapt:
         params = LmgParams(2, 3.0)
         h = build_lmg(params)
         trace = run_adapt(h, pair_state(2))
-        energy, ground = dense_ground_state(params)
+        energy, ground = dense_ground_state(h)
         assert trace.converged
         assert len(trace.layers) - 1 <= 2
         assert trace.layers[-1].energy == pytest.approx(energy, abs=1e-10)
@@ -247,7 +247,7 @@ class TestRunAdapt:
         params = LmgParams(3, 5.0)
         h = build_lmg(params)
         trace = run_adapt(h, pair_state(3))
-        energy, _ = dense_ground_state(params)
+        energy, _ = dense_ground_state(h)
         assert trace.converged
         assert trace.layers[-1].energy == pytest.approx(energy, abs=1e-9)
         assert trace.layers[-1].fidelity > 1.0 - 1e-9
@@ -264,7 +264,7 @@ class TestRunAdapt:
         ref_parity = parity_expectation(reference)
         label_map = {op.label: op for op in pool(4)}
         ops_so_far = []
-        _, exact_vec = dense_ground_state(params)
+        _, exact_vec = dense_ground_state(h)
         for record in trace.layers[1:]:
             ops_so_far.append(label_map[record.label])
             assert record.layer == len(ops_so_far)
@@ -697,9 +697,10 @@ class TestExactTarget:
         one_flip[-2] = 1.0
         references = (pair_state(n), all_down(n), one_flip)
         for params in (LmgParams(n, 5.0), LmgParams(n, 1.4563484775012436, 0.5)):
-            dense = build_lmg(params).dense_real()
+            h = build_lmg(params)
+            dense = h.dense_real()
             for reference in map(adapt_module._as_real_state, references):
-                energy, target = adapt_module._exact_target(dense, n, reference)
+                energy, target = adapt_module._exact_target(h, reference)
                 ref_energy, ref_target = full_eigh_exact_target(dense, n, reference)
                 assert np.array_equal(target, ref_target)
                 assert energy == pytest.approx(ref_energy, abs=1e-12)
@@ -713,9 +714,9 @@ class TestExactTarget:
         references = [adapt_module._as_real_state(r) for r in (pair_state(n), one_flip)]
         cases = []
         for params in (LmgParams(n, 5.0), LmgParams(n, 1.4563484775012436, 0.5)):
-            dense = build_lmg(params).dense_real()
+            h = build_lmg(params)
             for reference in references:
-                cases.append((dense, reference, adapt_module._exact_target(dense, n, reference)))
+                cases.append((h, reference, adapt_module._exact_target(h, reference)))
 
         def two_eighs(blocks):
             sectors = [np.linalg.eigh(block) for block in blocks]
@@ -723,8 +724,8 @@ class TestExactTarget:
             return min(lows), None, [evecs[:, 0] for _, evecs in sectors]
 
         monkeypatch.setattr(adapt_module, "_parity_ground", two_eighs)
-        for dense, reference, (energy, target) in cases:
-            ref_energy, ref_target = adapt_module._exact_target(dense, n, reference)
+        for h, reference, (energy, target) in cases:
+            ref_energy, ref_target = adapt_module._exact_target(h, reference)
             assert energy == ref_energy
             assert target.tobytes() == ref_target.tobytes()
 
@@ -737,10 +738,20 @@ class TestExactTarget:
             return real_eigh(mat)
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        dense = build_lmg(LmgParams(4, 5.0)).dense_real()
-        adapt_module._exact_target(dense, 4, all_down(4))
+        adapt_module._exact_target(build_lmg(LmgParams(4, 5.0)), all_down(4))
         # The other block is certified above by one Cholesky, not diagonalized.
         assert sizes == [8]
+
+    def test_reference_on_both_sectors_raises(self):
         mixed = (all_down(4) + np.eye(16)[-2]) / np.sqrt(2.0)
-        adapt_module._exact_target(dense, 4, mixed)
-        assert sizes == [8, 16]
+        with pytest.raises(ValueError, match="one spin-flip parity sector"):
+            adapt_module._exact_target(build_lmg(LmgParams(4, 5.0)), mixed)
+        with pytest.raises(ValueError, match="one spin-flip parity sector"):
+            run_adapt(build_lmg(LmgParams(4, 5.0)), mixed)
+
+    def test_parity_flipping_hamiltonian_raises(self):
+        # X1 flips the spin-flip parity, so the parity blocks do not hold H.
+        terms = [(1.0, PauliString.from_ops(4, {1: "Z"})), (0.5, PauliString.from_ops(4, {1: "X"}))]
+        h = PauliHamiltonian.from_terms(4, terms)
+        with pytest.raises(ValueError, match="couples the parity blocks"):
+            run_adapt(h, all_down(4))

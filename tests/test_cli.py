@@ -805,3 +805,24 @@ class TestFrozenPaperBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "cc5f747c52201fbe0002644020a07995a1e776aeb6890681dd8581c60a6ecade"
         )
+
+    def test_qitp_decompose_prepare_off_the_benchmark_grid(self):
+        # qitp, decompose and prepare --emit-state at N = 3 and 6, chi -1, 0.5
+        # and 1, vbar 0.5, 2 and 5. qitp's fidelity columns read the dense
+        # exact state, which lies in the odd sector at five of these points.
+        # qitp at N = 6, chi = 1, vbar = 5 is left out: it exits 1, as one
+        # start's post-selection probability vanishes. Recorded at 671df27,
+        # when dense_ground_state built its own Hamiltonian.
+        argvs = []
+        for n in ("3", "6"):
+            for chi in ("-1", "0.5", "1"):
+                for vbar in ("0.5", "2", "5"):
+                    point = ["--n", n, "--chi", chi, "--vbar", vbar]
+                    if (n, chi, vbar) != ("6", "1", "5"):
+                        argvs.append(["qitp", *point, "--tau-points", "6"])
+                    argvs += [["decompose", *point], ["prepare", *point, "--emit-state"]]
+        outputs = run_fresh_single_thread(argvs)
+        assert len(outputs) == 53
+        assert hashlib.sha256("".join(outputs).encode()).hexdigest() == (
+            "16f9d6414bcf27a73d7fcd983989cb95ebd94ab28c47ebbc0a262e98c2474cfe"
+        )

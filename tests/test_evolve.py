@@ -79,7 +79,7 @@ class TestIteEvolve:
             evals = np.linalg.eigvalsh(h.dense_real())
             gap = evals[1] - evals[0]
             out = ite_evolve(h, pair_statevector(n), 50.0 / gap)
-            _, exact_vec = dense_ground_state(params)
+            _, exact_vec = dense_ground_state(build_lmg(params))
             assert fidelity(out, exact_vec) >= 1.0 - 1e-8
 
     def test_energy_monotone_in_tau(self):
@@ -111,7 +111,7 @@ class TestIteEvolve:
         params = LmgParams(8, 5.0)
         h = build_lmg(params)
         eig = np.linalg.eigh(h.dense_real())
-        _, exact_vec = dense_ground_state(params)
+        _, exact_vec = dense_ground_state(build_lmg(params))
         taus = np.linspace(0.0, 8.0, 17)
         fid_pair, fid_prod = [], []
         for tau in taus:
@@ -231,7 +231,7 @@ class TestQitpPostselect:
         params = LmgParams(4, 3.0)
         h = build_lmg(params)
         vec = pair_statevector(4)
-        energy, exact_vec = dense_ground_state(params)
+        energy, exact_vec = dense_ground_state(build_lmg(params))
         [(_, prob)] = qitp_postselect(h, [vec], 60.0, energy)
         assert np.sqrt(prob) == pytest.approx(
             abs(np.vdot(exact_vec, vec)) / np.sqrt(2.0), abs=1e-8
@@ -258,7 +258,7 @@ class TestQitpPostselect:
 
     def test_initial_state_orderings_across_coupling(self):
         h_weak = build_lmg(LmgParams(8, 1.1))
-        _, exact_weak = dense_ground_state(LmgParams(8, 1.1))
+        _, exact_weak = dense_ground_state(build_lmg(LmgParams(8, 1.1)))
         fid_s1 = fidelity(all_down(8), exact_weak)
         fid_s2 = fidelity(pair_statevector(8), exact_weak)
         assert fid_s1 > fid_s2
@@ -266,7 +266,7 @@ class TestQitpPostselect:
         h = build_lmg(params)
         eig = np.linalg.eigh(h.dense_real())
         split = select_split(h, params)
-        _, exact_vec = dense_ground_state(params)
+        _, exact_vec = dense_ground_state(build_lmg(params))
         pair_curve, prod_curve, pair_prob, prod_prob = [], [], [], []
         for tau in np.linspace(0.0, 12.0, 13):
             (out_pair, prob_pair), (out_prod, prob_prod) = qitp_postselect(

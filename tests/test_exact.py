@@ -16,6 +16,7 @@ from stabsplit.exact import (
     dicke_to_statevector,
     fidelity,
     ground_state,
+    s2_candidate_state,
     sector_ks,
     stab_state_dicke_amplitudes,
 )
@@ -203,7 +204,7 @@ class TestGroundState:
                 for vbar in (0.5, 1.0, 2.0, 5.0, 10.0):
                     params = LmgParams(n, vbar, chi)
                     e_sector, _ = ground_state(params)
-                    e_dense, _ = dense_ground_state(params)
+                    e_dense, _ = dense_ground_state(build_lmg(params))
                     assert e_sector == pytest.approx(e_dense, abs=1e-10)
 
     def test_matches_dense_ground_vector(self):
@@ -211,7 +212,7 @@ class TestGroundState:
             for vbar in (0.5, 1.0, 2.0, 5.0, 10.0):
                 params = LmgParams(n, vbar)
                 _, state = ground_state(params)
-                _, dense_vec = dense_ground_state(params)
+                _, dense_vec = dense_ground_state(build_lmg(params))
                 overlap = fidelity(dicke_to_statevector(state), dense_vec)
                 assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -225,7 +226,7 @@ class TestGroundState:
 
     def test_dense_guard(self):
         with pytest.raises(ResourceLimitError):
-            dense_ground_state(LmgParams(13, 1.0))
+            dense_ground_state(build_lmg(LmgParams(13, 1.0)))
 
 
 def full_spectrum_reference(params):
@@ -270,7 +271,7 @@ class TestParityBlocks:
     def test_matches_full_spectrum_reference(self, n):
         odd = (_popcounts(n) & 1).astype(bool)
         for params in parity_grid(n):
-            energy, vec = dense_ground_state(params)
+            energy, vec = dense_ground_state(build_lmg(params))
             evals, ref_vec = full_spectrum_reference(params)
             assert abs(energy - evals[0]) <= 1e-10 * abs(evals[0])
             # One sector only, with exact zeros in the other.
@@ -280,7 +281,7 @@ class TestParityBlocks:
                 assert fidelity(vec, ref_vec) >= 1.0 - 1e-10
 
     def test_odd_block_wins(self):
-        energy, vec = dense_ground_state(ODD_WINNER)
+        energy, vec = dense_ground_state(build_lmg(ODD_WINNER))
         assert energy == pytest.approx(-4.29094205455, abs=1e-10)
         assert parity_expectation(vec) == pytest.approx(-1.0, abs=1e-12)
         even = (_popcounts(8) & 1) == 0
@@ -289,7 +290,7 @@ class TestParityBlocks:
     def test_tie_takes_the_minus_one_to_the_n_sector(self):
         # n = 2, chi = 1, vbar = 1: |11> (even) and (|01> + |10>)/sqrt(2)
         # (odd) both sit at -1; the even sector, (-1)^2 = +1, wins.
-        energy, vec = dense_ground_state(LmgParams(2, 1.0, 1.0))
+        energy, vec = dense_ground_state(build_lmg(LmgParams(2, 1.0, 1.0)))
         assert energy == pytest.approx(-1.0, abs=1e-12)
         assert parity_expectation(vec) == 1.0
         assert vec[0b11] == pytest.approx(1.0, abs=1e-12)
@@ -298,7 +299,7 @@ class TestParityBlocks:
     def test_collective_route_matches_dense(self, n):
         for params in parity_grid(n):
             energy, state = ground_state(params)
-            e_dense, vec = dense_ground_state(params)
+            e_dense, vec = dense_ground_state(build_lmg(params))
             assert abs(energy - e_dense) <= 1e-10 * abs(e_dense)
             # k spin-ups carry parity (-1)^(n-k).
             assert (-1) ** (n - state.ks[0]) == round(parity_expectation(vec))
@@ -353,10 +354,10 @@ class TestCertifiedSecondBlock:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_two_eigh_reference(self, n, monkeypatch):
         points = parity_grid(n) + ([TIE] if n == TIE.n else [])
-        got = [(dense_ground_state(p), ground_state(p)) for p in points]
+        got = [(dense_ground_state(build_lmg(p)), ground_state(p)) for p in points]
         monkeypatch.setattr(exact_module, "_parity_ground", two_eigh_parity_ground)
         for params, ((energy, vec), (c_energy, state)) in zip(points, got):
-            ref_energy, ref_vec = dense_ground_state(params)
+            ref_energy, ref_vec = dense_ground_state(build_lmg(params))
             assert energy == ref_energy
             assert vec.tobytes() == ref_vec.tobytes()
             ref_c_energy, ref_state = ground_state(params)
@@ -411,7 +412,7 @@ class TestCertifiedSecondBlock:
 
     def test_one_eigh_on_the_benchmark_grid(self, monkeypatch):
         sizes = count_eighs(monkeypatch)
-        dense_ground_state(LmgParams(8, 5.0, -1.0))
+        dense_ground_state(build_lmg(LmgParams(8, 5.0, -1.0)))
         assert sizes == [128]
 
 
@@ -452,8 +453,9 @@ class TestDirectParityBlocks:
         # takes seconds per point.
         for chi, vbar in BLOCK_GRID if n < 11 else [(0.5, 5.0)]:
             params = LmgParams(n, vbar, chi)
-            assert_blocks_match_dense(build_lmg(params))
-            energy, vec = dense_ground_state(params)
+            h = build_lmg(params)
+            assert_blocks_match_dense(h)
+            energy, vec = dense_ground_state(h)
             ref_energy, ref_vec = gathered_dense_ground_state(params)
             assert energy == ref_energy
             assert vec.tobytes() == ref_vec.tobytes()
@@ -469,8 +471,11 @@ class TestDirectParityBlocks:
         # An odd number of X/Y sites couples the blocks; an odd Y count
         # (the +Y2 term) makes the matrix imaginary.
         terms = [(1.0, PauliString.parse("+Z1Z2", 3)), (0.5, PauliString.parse(label, 3))]
+        h = PauliHamiltonian.from_terms(3, terms)
         with pytest.raises(ValueError):
-            PauliHamiltonian.from_terms(3, terms).parity_blocks()
+            h.parity_blocks()
+        with pytest.raises(ValueError):
+            dense_ground_state(h)
 
     def test_layout_read_only_and_built_once_per_sweep(self, monkeypatch, tmp_path):
         clear_scores()
@@ -491,6 +496,59 @@ class TestDirectParityBlocks:
         assert len(built) == 1
         for array in layout(h):
             assert not array.flags.writeable
+
+
+class TestDenseGroundStateOfAnyHamiltonian:
+    """``dense_ground_state`` diagonalizes the Hamiltonian it is handed, not
+    only one ``build_lmg`` built."""
+
+    @staticmethod
+    def assert_ground(h):
+        energy, vec = dense_ground_state(h)
+        dense = h.dense_real()
+        want = np.linalg.eigvalsh(dense)[0]
+        assert abs(energy - want) <= 1e-10 * abs(want)
+        assert np.linalg.norm(dense @ vec - energy * vec) <= 1e-10
+
+    def test_permuted_from_terms_copy(self):
+        # The odd sector wins at this point.
+        terms = list(build_lmg(ODD_WINNER).terms)
+        order = np.random.default_rng(7).permutation(len(terms))
+        self.assert_ground(PauliHamiltonian.from_terms(8, [terms[k] for k in order]))
+
+    @pytest.mark.parametrize("vbar", [0.5, 5.0])
+    def test_magic_part_of_the_split(self, vbar):
+        params = LmgParams(8, vbar)
+        self.assert_ground(select_split(build_lmg(params), params).magic_part)
+
+
+def count_calls(monkeypatch, func, modules):
+    """Calls of ``func`` through each module's binding of its name; a module
+    without one gets it, so a call it might make is counted too."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return func(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, func.__name__, counting, raising=False)
+    return calls
+
+
+class TestOneBuildPerSweepRow:
+    def test_hamiltonian(self, monkeypatch):
+        # The energies and the dense magic column read one build.
+        calls = count_calls(monkeypatch, build_lmg, (cli, exact_module))
+        cli._sweep_cells(8, -1.0, 5.0, frozenset(cli.OBSERVABLES))
+        assert calls == [(LmgParams(8, 5.0, -1.0),)]
+
+    def test_pair_state(self, monkeypatch):
+        # The fidelity, entropy and tangle columns and variational_jz's
+        # reference read one build.
+        calls = count_calls(monkeypatch, s2_candidate_state, (cli, evolve_module))
+        cli._sweep_cells(8, -1.0, 5.0, frozenset(cli.OBSERVABLES))
+        assert calls == [(LmgParams(8, 5.0, -1.0),)]
 
 
 class TestStatevectorExpansion:

@@ -145,7 +145,7 @@ class TestSre:
         params_grid = np.geomspace(0.5, 20.0, 16)
         values = []
         for vbar in params_grid:
-            _, vec = dense_ground_state(LmgParams(8, float(vbar)))
+            _, vec = dense_ground_state(build_lmg(LmgParams(8, float(vbar))))
             values.append(sre(vec))
         peak = params_grid[int(np.argmax(values))]
         assert 1.5 <= peak <= 3.0
@@ -190,7 +190,7 @@ class TestSreKernel:
             states = [vec / np.linalg.norm(vec), (vec / np.linalg.norm(vec)).astype(complex)]
             if n >= 2:
                 states += [
-                    dense_ground_state(LmgParams(n, vbar, chi))[1]
+                    dense_ground_state(build_lmg(LmgParams(n, vbar, chi)))[1]
                     for vbar, chi in ((0.3, -1.0), (1.1, -1.0), (5.0, 0.5))
                 ]
             for state in states:
@@ -252,7 +252,7 @@ class TestSreOneSector:
                 states.append(state / np.linalg.norm(state))
         if n >= 2:
             states += [
-                dense_ground_state(LmgParams(n, vbar, chi))[1]
+                dense_ground_state(build_lmg(LmgParams(n, vbar, chi)))[1]
                 for vbar, chi in ((0.3, -1.0), (5.0, 0.0), (1.4563484775012436, 0.5))
             ]
         for state in states:
@@ -291,7 +291,7 @@ class TestOneSpinEntropy:
             assert one_spin_entropy(pair_state(n)) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_spin_ground_state_analytic(self):
-        _, vec = dense_ground_state(LmgParams(2, 1.0))
+        _, vec = dense_ground_state(build_lmg(LmgParams(2, 1.0)))
         amp = np.sqrt(2.0) - 1.0
         p_up = amp**2 / (1.0 + amp**2)
         expect = -p_up * np.log2(p_up) - (1 - p_up) * np.log2(1 - p_up)
@@ -391,7 +391,7 @@ class TestParity:
     def test_exact_ground_states(self):
         for n in range(2, 9):
             for vbar in (0.5, 2.0, 5.0):
-                _, vec = dense_ground_state(LmgParams(n, vbar))
+                _, vec = dense_ground_state(build_lmg(LmgParams(n, vbar)))
                 assert parity_expectation(vec) == pytest.approx(
                     (-1.0) ** n, abs=1e-12
                 )
