@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import _parity_blocks, _parity_ground
-from .pauli import PauliHamiltonian, PauliString, ResourceLimitError, _popcounts
+from .exact import _parity_ground
+from .pauli import PauliHamiltonian, PauliString, ResourceLimitError
+from .pauli import _indices, _parity_blocks, _popcounts
 
 ADAPT_QUBIT_LIMIT = 10
 
@@ -74,10 +75,11 @@ class PoolOperator:
     @cached_property
     def _indices(self) -> tuple[np.ndarray, np.ndarray]:
         # sel holds the pair states (00 for sign +, 01 for sign -) and par
-        # their bit-flipped partners (11 and 10).
+        # their bit-flipped partners (11 and 10). idx is pauli's shared
+        # read-only basis index array.
         bit_i = self.n - self.i
         bit_j = self.n - self.j
-        idx = np.arange(1 << self.n)
+        idx = _indices(self.n)
         want_j = 0 if self.sign > 0 else 1
         mask = (((idx >> bit_i) & 1) == 0) & (((idx >> bit_j) & 1) == want_j)
         sel = idx[mask]

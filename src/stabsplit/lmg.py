@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, _structure_memo, _words, canonical_phase
-from .pauli import clear_structure_memo as clear_scores
+from .pauli import PauliHamiltonian, PauliString, _words, canonical_phase
 from .tableau import (
     CliffordGate,
     StabilizerGroup,
@@ -81,7 +80,8 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
     followed by Y_i Y_j for each pair i < j in ``np.triu_indices`` order.
     The terms are unique by construction.  Only the coefficients depend on
     vbar and chi beyond which terms exist, so every Hamiltonian with the same
-    n and number of pair-term kinds shares one table (``_position_table``).
+    n and number of pair-term kinds shares one table and one memo
+    (``_position_table``).
     """
     n = params.n
     coupling = -params.vbar / (2.0 * (n - 1))
@@ -91,17 +91,18 @@ def build_lmg(params: LmgParams) -> PauliHamiltonian:
         kinds.append(coupling)
         if params.chi * coupling != 0.0:
             kinds.append(params.chi * coupling)
-    positions = _position_table(n, len(kinds))
+    positions, memo = _position_table(n, len(kinds))
     coeffs = np.full(len(positions), 0.5)
     for k, c in enumerate(kinds):
         coeffs[n + k :: len(kinds)] = c
-    return PauliHamiltonian(n, coeffs, positions)
+    return PauliHamiltonian(n, coeffs, positions, memo)
 
 
 @lru_cache(maxsize=4)
-def _position_table(n: int, kinds: int) -> np.ndarray:
+def _position_table(n: int, kinds: int) -> tuple[np.ndarray, dict]:
     """Read-only position table of ``build_lmg``'s terms with ``kinds`` pair
-    terms (none, X_i X_j, or X_i X_j then Y_i Y_j) per pair."""
+    terms (none, X_i X_j, or X_i X_j then Y_i Y_j) per pair, and the memo of
+    the work that depends only on it (``PauliHamiltonian.memo``)."""
     total = n + kinds * n * (n - 1) // 2
     shift = 64 * _words(n)
     # Qubit q is bit n - q; X_i X_j holds two positions, Y_i Y_j four.
@@ -114,7 +115,7 @@ def _position_table(n: int, kinds: int) -> np.ndarray:
         if kinds == 2:
             positions[n + 1 :: 2] = np.concatenate([bits, shift + bits], axis=1)
     positions.setflags(write=False)
-    return positions
+    return positions, {}
 
 
 # -- family builders ---------------------------------------------------------
@@ -187,26 +188,21 @@ def candidate_groups(h: PauliHamiltonian, params: LmgParams) -> list[LmgCandidat
 
 def _scored(h: PauliHamiltonian, params: LmgParams, name: str, build):
     """The group ``build()`` makes, under ``name``, and its read-only int8
-    expectations of every term of ``h``, kept in h's structure memo.
+    expectations of every term of ``h``, kept in ``h.memo``.
 
     Expectations depend only on the position table and the group, and each
-    named group only on n and ``negated_pair_completion``.
-    ``build_lmg`` shares one table per (n, number of term kinds), and the
-    memo holds the last four tables, so a process that returns to a
-    structure does not score it again: a sweep whose chi grid puts 0 between
-    nonzero values, a linear vbar grid from 0 over several chi, a caller
-    that runs a sweep over several N more than once.  Tables are matched by
-    identity: any other table (``from_terms``, ``subset``, a rebuilt
-    ``_position_table``) is scored fresh.
+    named group only on n and ``negated_pair_completion``.  Every
+    ``build_lmg`` point of one structure shares one memo, so a process that
+    returns to a structure ``_position_table`` still holds does not score it
+    again.
     """
-    scores = _structure_memo(h.positions)
     key = (name, h.n, params.n, negated_pair_completion(params))
-    if key not in scores:
+    if key not in h.memo:
         group = build()
         values = group.expectations(h)
         values.setflags(write=False)
-        scores[key] = (group, values)
-    return scores[key]
+        h.memo[key] = (group, values)
+    return h.memo[key]
 
 
 def best_family_energy(candidates, family: str) -> float:

@@ -20,8 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -74,30 +73,6 @@ def _parity_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices of the (-1)^n spin-flip parity sector, then the other."""
     flipped = (_popcounts(n) & 1) != n % 2
     return np.flatnonzero(~flipped), np.flatnonzero(flipped)
-
-
-# Work that depends only on a position table: id(table) -> (table, named
-# entries) for at most four tables, as many as ``lmg._position_table``
-# caches, least recently used first.  Holding the table keeps its id.  Used
-# by ``lmg._scored`` and ``PauliHamiltonian.parity_blocks``.
-_STRUCTURES: OrderedDict = OrderedDict()
-
-
-def _structure_memo(positions: np.ndarray) -> dict:
-    """The named, read-only entries kept for this very table object; another
-    table, even an equal copy, gets a fresh dict and may evict the oldest."""
-    held = _STRUCTURES.get(id(positions))
-    if held is None or held[0] is not positions:
-        held = _STRUCTURES[id(positions)] = (positions, {})
-        if len(_STRUCTURES) > 4:
-            _STRUCTURES.popitem(last=False)
-    _STRUCTURES.move_to_end(id(positions))
-    return held[1]
-
-
-def clear_structure_memo() -> None:
-    """Forget every entry of every table (see ``_structure_memo``)."""
-    _STRUCTURES.clear()
 
 
 def _words(bits: int) -> int:
@@ -295,12 +270,15 @@ class PauliHamiltonian:
     the last position.  The unsigned strings must be unique; ``from_terms``
     builds them from (coefficient, string) pairs.  ``terms`` is the same
     data as (coefficient, string) pairs, decoded on first access.
-    Instances compare by identity.
+    ``memo`` keeps named work that depends only on the table, such as the
+    parity-block layout; Hamiltonians built on one table may share one.  It
+    changes no output.  Instances compare by identity.
     """
 
     n: int
     coeffs: np.ndarray
     positions: np.ndarray
+    memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(-1)
@@ -416,11 +394,10 @@ class PauliHamiltonian:
     def parity_blocks(self) -> np.ndarray:
         """The two spin-flip parity blocks of ``dense_real()``, stacked in
         ``_parity_blocks`` order, with its bits but without the 2^n x 2^n
-        matrix.  The layout, most of the work, is kept per position table."""
-        memo = _structure_memo(self.positions)
-        if ("parity", self.n) not in memo:
-            memo["parity", self.n] = self._parity_layout()
-        flat, signs, phase = memo["parity", self.n]
+        matrix.  The layout, most of the work, is kept in ``memo``."""
+        if ("parity", self.n) not in self.memo:
+            self.memo["parity", self.n] = self._parity_layout()
+        flat, signs, phase = self.memo["parity", self.n]
         half = 1 << (self.n - 1)
         return self._scatter(flat, signs, self.coeffs * phase, (2, half, half))
 

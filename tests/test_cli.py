@@ -768,7 +768,7 @@ class TestFrozenPaperBytes:
 
     def test_collective_large_n_repeated_passes(self):
         # Three benchmark passes in one process: the first scores each
-        # structure, the later two are served from the structure memo.
+        # structure, the later two are served from its cached memo.
         # Recorded at 50acfa7, when only the last structure's scores were kept.
         argvs = load_benchmark_workloads().build_workloads()["collective-large-n"].argvs(0)
         outputs = run_fresh_single_thread(argvs * 3)

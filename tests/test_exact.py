@@ -20,7 +20,7 @@ from stabsplit.exact import (
     sector_ks,
     stab_state_dicke_amplitudes,
 )
-from stabsplit.lmg import LmgParams, build_lmg, clear_scores, prepare_stab_state, select_split
+from stabsplit.lmg import LmgParams, _position_table, build_lmg, prepare_stab_state, select_split
 from stabsplit.metrics import parity_expectation, sre
 from stabsplit.pauli import (
     PauliHamiltonian,
@@ -478,7 +478,7 @@ class TestDirectParityBlocks:
             dense_ground_state(h)
 
     def test_layout_read_only_and_built_once_per_sweep(self, monkeypatch, tmp_path):
-        clear_scores()
+        _position_table.cache_clear()
         built = []
         layout = PauliHamiltonian._parity_layout
 

@@ -8,7 +8,6 @@ import pytest
 
 import stabsplit.cli as cli
 import stabsplit.lmg as lmg
-import stabsplit.pauli as pauli
 from stabsplit.cli import main
 from stabsplit.lmg import (
     LmgCandidate,
@@ -16,7 +15,6 @@ from stabsplit.lmg import (
     build_lmg,
     best_family_energy,
     candidate_groups,
-    clear_scores,
     pair_family_group,
     parity_string,
     preparation_circuit,
@@ -300,7 +298,7 @@ class TestSelection:
         # candidate's expectations instead of scoring its group again.  A
         # second point with the same structure and key reuses all three.
         calls = count_expectation_passes(monkeypatch)
-        clear_scores()
+        lmg._position_table.cache_clear()
         params = LmgParams(n, 3.0, -1.0)
         select_split(build_lmg(params), params)
         assert len(calls) == 3
@@ -340,18 +338,22 @@ def assert_same_candidates(got, want):
         assert a.expectations.dtype == b.expectations.dtype
 
 
-def fresh_candidates(h, params):
-    """``candidate_groups`` on an emptied memo."""
-    clear_scores()
-    return candidate_groups(h, params)
+def fresh_candidates(h, params, monkeypatch):
+    """``candidate_groups`` on an emptied memo, which scores both groups."""
+    h.memo.clear()
+    calls = count_expectation_passes(monkeypatch)
+    got = candidate_groups(h, params)
+    assert len(calls) == 2
+    return got
 
 
 class TestScoreCache:
-    """The expectations of the last four structures scored are reused, and
-    only where they are the same arrays a fresh scoring would give."""
+    """The expectations of the structures ``_position_table`` holds are
+    reused, and only where they are the same arrays a fresh scoring would
+    give."""
 
     def test_alternating_structures_scored_once(self, monkeypatch):
-        clear_scores()
+        lmg._position_table.cache_clear()
         calls = count_expectation_passes(monkeypatch)
         passes = []
         for _ in range(3):
@@ -373,30 +375,36 @@ class TestScoreCache:
         ],
     )
     def test_sweep_returning_to_a_structure_scores_it_once(self, grid, monkeypatch, tmp_path):
-        clear_scores()
+        lmg._position_table.cache_clear()
         calls = count_expectation_passes(monkeypatch)
         argv = ["sweep", "--n", "5", *grid, "--observables", "energies", "--jobs", "1"]
         assert main(argv + ["--vbar-points", "3", "--out", str(tmp_path / "s.csv")]) == 0
         # Two candidates and the guard for each of the two structures.
         assert len(calls) == 6
 
-    def test_four_tables_held_and_evicted_table_rescored(self, monkeypatch):
-        clear_scores()
-        points = [LmgParams(n, 2.0, -1.0) for n in (3, 4, 5, 6, 7)]
-        hs = [build_lmg(p) for p in points]
-        first = [candidate_groups(h, p) for h, p in zip(hs, points)]
-        held = [table for table, _ in pauli._STRUCTURES.values()]
-        assert len(held) == 4
-        assert all(a is b for a, b in zip(held, [h.positions for h in hs[1:]]))
+    def test_one_memo_per_table_kept_after_eviction(self, monkeypatch):
+        lmg._position_table.cache_clear()
+        params = LmgParams(5, 2.0, -0.5)
+        h = build_lmg(params)
+        # Every point of one (N, kinds) shares one memo object.
+        for vbar, chi in ((0.3, -1.0), (7.0, 0.5), (2.0, -0.5)):
+            assert build_lmg(LmgParams(5, vbar, chi)).memo is h.memo
+        assert build_lmg(LmgParams(5, 2.0, 0.0)).memo is not h.memo
+        cached = candidate_groups(h, params)
         calls = count_expectation_passes(monkeypatch)
-        assert_same_candidates(candidate_groups(hs[4], points[4]), first[4])
-        assert len(calls) == 0
-        # The least recently used table was evicted: scored again, the same.
-        again = candidate_groups(hs[0], points[0])
-        assert len(calls) == 2
-        assert len(pauli._STRUCTURES) == 4
-        assert_same_candidates(again, first[0])
-        assert_same_candidates(again, fresh_candidates(hs[0], points[0]))
+        # Another table starts with an empty memo and is scored afresh.
+        others = [h.subset(np.ones(len(h), dtype=bool)), PauliHamiltonian.from_terms(5, h.terms)]
+        lmg._position_table.cache_clear()
+        others.append(build_lmg(params))
+        for other in others:
+            assert other.memo == {}
+            before = len(calls)
+            assert_same_candidates(candidate_groups(other, params), cached)
+            assert len(calls) == before + 2
+        # h outlived its table's cache entry and keeps its memo.
+        before = len(calls)
+        assert_same_candidates(candidate_groups(h, params), cached)
+        assert len(calls) == before
 
     def test_rebuilt_position_table_misses(self, monkeypatch):
         params = LmgParams(5, 2.0, 0.5)
@@ -412,7 +420,11 @@ class TestScoreCache:
         got = candidate_groups(rebuilt, params)
         assert len(calls) == 2
         assert_same_candidates(got, cached)
-        assert_same_candidates(got, fresh_candidates(rebuilt, params))
+        assert_same_candidates(got, fresh_candidates(rebuilt, params, monkeypatch))
+        # The evicted table's Hamiltonian still holds its scores.
+        before = len(calls)
+        assert_same_candidates(candidate_groups(h, params), cached)
+        assert len(calls) == before
 
     def test_permuted_from_terms_scored_fresh(self, monkeypatch):
         params = LmgParams(5, 2.0, -0.5)
@@ -452,9 +464,10 @@ class TestScoreCache:
         assert tables[2.0] is not tables[0.0]
         assert build_lmg(LmgParams(4, 2.0, 0.0)).positions is not tables[2.0]
 
-    def test_hits_equal_fresh_scoring(self):
+    def test_hits_equal_fresh_scoring(self, monkeypatch):
         # Consecutive points share a table but differ in chi's sign, which no
         # group depends on, or, at n = 2, in the completion's sign.
+        calls = count_expectation_passes(monkeypatch)
         points = [
             (n, chi, vbar)
             for n in (2, 3, 6)
@@ -466,10 +479,12 @@ class TestScoreCache:
             h = build_lmg(params)
             got = candidate_groups(h, params)
             guard = symmetry_breaking_energy(h, params) if n >= 3 else None
-            clear_scores()
+            h.memo.clear()
+            before = len(calls)
             assert_same_candidates(got, candidate_groups(h, params))
             if n >= 3:
                 assert guard == symmetry_breaking_energy(h, params)
+            assert len(calls) == before + (3 if n >= 3 else 2)
 
     def test_mixed_key_sweep_matches_fresh_scoring(self, monkeypatch, tmp_path):
         # Points differ in chi's sign (no key does), in the n = 2 completion
@@ -484,10 +499,16 @@ class TestScoreCache:
             assert main(argv + ["--jobs", jobs, "--out", str(path)]) == 0
             outputs.append(path.read_bytes())
         scored = cli._sweep_cells
+        calls = count_expectation_passes(monkeypatch)
 
-        def fresh(*args):
-            clear_scores()
-            return scored(*args)
+        def fresh(n, *args):
+            # A new table comes with an empty memo: both candidates and, for
+            # n >= 3, the guard are scored again.
+            lmg._position_table.cache_clear()
+            before = len(calls)
+            cells = scored(n, *args)
+            assert len(calls) == before + (3 if n >= 3 else 2)
+            return cells
 
         monkeypatch.setattr(cli, "_sweep_cells", fresh)
         path = tmp_path / "fresh.csv"
